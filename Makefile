@@ -19,7 +19,7 @@ HEADLINE_BENCH := 'BenchmarkRumorSpreading($$|Huge)|BenchmarkPhase(Batch|Paralle
 # specific point.
 BENCH_N ?= $(shell i=1; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; echo $$i)
 
-.PHONY: build vet lint test race sweep-smoke obs-smoke chaos bench-quick bench-json profile check clean
+.PHONY: build vet lint test race sweep-smoke obs-smoke chaos bench-test bench-quick bench-json profile check clean
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,14 @@ obs-smoke:
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/sweep ./cmd/sweep
 
+# bench-test runs the unit and smoke tests of the repository benchmark
+# (bench/, its own Go module built against this checkout). The root
+# `go test ./...` never reaches a nested module, so without this target
+# an internal API change could break the benchmark unseen. Offline,
+# about 8 s; it writes only to temporary directories.
+bench-test:
+	cd bench && $(GO) test ./...
+
 bench-quick:
 	$(GO) test -run '^$$' -bench $(QUICK_BENCH) -benchtime 1x ./...
 
@@ -104,20 +112,23 @@ bench-json: lint
 
 # profile records CPU and allocation pprof profiles of the two Stage-2
 # hot paths — the n = 10⁹ census Stage-2 phase (exact + quantized) and
-# the threshold-straddling sweep grid — so hot-path PRs start from a
-# measured profile instead of a guess (see DESIGN.md §4). Inspect with
+# the threshold-straddling sweep grid — plus a CPU profile of the k = 3
+# and k = 5 majority law alone, so hot-path PRs start from a measured
+# profile instead of a guess (see DESIGN.md §4). Inspect with
 #   go tool pprof -top profiles/census_cpu.prof
 profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkCensusPhaseStage2' -benchtime 50x -timeout 30m \
 	    -cpuprofile profiles/census_cpu.prof -memprofile profiles/census_mem.prof \
 	    -o profiles/census.test ./internal/census
+	$(GO) test -run '^$$' -bench 'BenchmarkMajorityLaw/k=[35]/' -benchtime 20x -timeout 30m \
+	    -cpuprofile profiles/law_cpu.prof -o profiles/census.test ./internal/census
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepGridPoints' -benchtime 5x -timeout 30m \
 	    -cpuprofile profiles/sweep_cpu.prof -memprofile profiles/sweep_mem.prof \
 	    -o profiles/sweep.test ./internal/sweep
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
 
-check: build lint race sweep-smoke obs-smoke chaos bench-quick
+check: build lint race sweep-smoke obs-smoke chaos bench-test bench-quick
 
 clean:
 	$(GO) clean ./...

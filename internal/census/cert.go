@@ -2,7 +2,6 @@ package census
 
 import (
 	"math"
-	"sync"
 
 	"github.com/gossipkit/noisyrumor/internal/dist"
 )
@@ -150,38 +149,6 @@ func certFlipTail(np, t int, rho float64) float64 {
 	return s
 }
 
-// certLfactSize bounds the memoized ln(i!) table: it covers every
-// realistic subsample size ℓ (schedules reach the low thousands at
-// n = 10¹²); larger arguments fall back to dist.BinomialPMF.
-const certLfactSize = 1 << 14
-
-// certLfact memoizes ln Γ(i+1). certSens runs on every cache miss and
-// certPairInner needs one binomial coefficient per outer T step; the
-// shared table turns its three Lgamma calls per step into array reads.
-var certLfact = sync.OnceValue(func() []float64 {
-	t := make([]float64, certLfactSize)
-	for i := range t {
-		t[i], _ = math.Lgamma(float64(i) + 1)
-	}
-	return t
-})
-
-// certBinomPMF is dist.BinomialPMF for the hot certPairInner path:
-// the caller supplies lp = ln p and lq = ln(1−p) once per pair, and
-// the log-binomial coefficient comes from the certLfact table — the
-// operations and their order replicate dist.BinomialPMF exactly, so
-// the value is bit-identical, at one Exp per call instead of five
-// transcendentals. Requires p ∈ (0, 1).
-func certBinomPMF(n, k int, p, lp, lq float64) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if tab := certLfact(); n < len(tab) {
-		return math.Exp(tab[n] - tab[k] - tab[n-k] + float64(k)*lp + float64(n-k)*lq)
-	}
-	return dist.BinomialPMF(n, k, p)
-}
-
 // certPair accumulates, into nt[i] for each flip budget ts[i], the
 // pair term P(|Z_j − Z_{j'}| ≤ 1+2·ts[i] ∧ max(Z_j, Z_{j'}) ≥ m0)
 // for a pair with total success probability p and conditional split
@@ -263,7 +230,7 @@ func certPairInner(T int, pT, p1, lp1, lq1 float64, m0, wmax int, ts []int, nt [
 	if x1 > T {
 		x1 = T
 	}
-	px := certBinomPMF(T, x0, p1, lp1, lq1)
+	px := binomPMF(T, x0, p1, lp1, lq1)
 	for x := x0; x <= x1; x++ {
 		d := 2*x - T
 		if d < 0 {

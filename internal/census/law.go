@@ -3,6 +3,7 @@ package census
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/gossipkit/noisyrumor/internal/dist"
 )
@@ -77,6 +78,17 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // trial live) collapses to r = q in O(k), and k = 2 reduces to the
 // plain binomial tail of TestMajorityLawBinomialIdentity, truncation
 // sites included.
+//
+// Every binomial term — each winning-count pmf and the centre of each
+// rival window — comes from binomPMF, one table-driven kernel (ln Γ
+// read from a lazily built table, ln p and ln(1−p) hoisted per winner
+// or rival) that reproduces dist.BinomialPMF bit for bit and that the
+// quantization certificate shares. The rival conditionals are computed
+// once per winner, and each DP layer scans and clears only the band
+// of ball counts that can hold mass. None of this changes a float or
+// its summation order: FuzzMajorityLaw pins r and dropped bit for bit
+// against a frozen copy of the evaluator as it stood before these
+// steps (law_ref_test.go).
 //
 // MajorityLaw allocates its result and scratch; hot paths hold a
 // lawEvaluator and call eval, which reuses both.
@@ -169,13 +181,16 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 	dp := &ev.dp
 	dp.ensure(k, ell)
 	for j := 0; j < k; j++ {
-		if q[j] == 0 {
+		p := q[j]
+		if p == 0 {
 			// Y_j = 0 surely; with ℓ ≥ 1 some rival holds a ball, so
 			// j can neither win nor tie for the maximum.
 			continue
 		}
+		lp, lq := math.Log(p), math.Log1p(-p)
+		dp.setWinner(q, j)
 		for m := 0; m <= ell; m++ {
-			pm := dist.BinomialPMF(ell, m, q[j])
+			pm := binomPMF(ell, m, p, lp, lq)
 			if pm == 0 {
 				continue
 			}
@@ -183,7 +198,7 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 				dropped += pm
 				continue
 			}
-			win, dpDropped := dp.winProb(q, j, m, stateCut)
+			win, dpDropped := dp.winProb(m, stateCut)
 			r[j] += pm * win
 			dropped += pm * dpDropped
 		}
@@ -202,11 +217,13 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
 	dropped := 0.0
 	for j := 0; j < 2; j++ {
-		if q[j] == 0 {
+		p := q[j]
+		if p == 0 {
 			continue
 		}
+		lp, lq := math.Log(p), math.Log1p(-p)
 		for m := 0; m <= ell; m++ {
-			pm := dist.BinomialPMF(ell, m, q[j])
+			pm := binomPMF(ell, m, p, lp, lq)
 			if pm == 0 {
 				continue
 			}
@@ -237,6 +254,39 @@ func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64,
 	return r, dropped
 }
 
+// lfactSize bounds the memoized ln(i!) table: it covers every
+// realistic subsample size ℓ (schedules reach the low thousands at
+// n = 10¹²); larger arguments fall back to dist.BinomialPMF.
+const lfactSize = 1 << 14
+
+// lfact memoizes ln Γ(i+1) for binomPMF. It is built on first use, so
+// a run that evaluates no law (a resume from a complete journal) never
+// pays for it.
+var lfact = sync.OnceValue(func() []float64 {
+	t := make([]float64, lfactSize)
+	for i := range t {
+		t[i], _ = math.Lgamma(float64(i) + 1)
+	}
+	return t
+})
+
+// binomPMF is dist.BinomialPMF for the hot law and certificate loops:
+// the caller supplies lp = ln p and lq = ln(1−p), hoisted once per
+// winner, rival or pair, and the log-binomial coefficient comes from
+// the lfact table. The operations and their order replicate
+// dist.BinomialPMF exactly, so the value is bit-identical, at one Exp
+// per call instead of three Lgamma, a Log, a Log1p and an Exp.
+// Degenerate p and n beyond the table defer to dist.BinomialPMF.
+func binomPMF(n, k int, p, lp, lq float64) float64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	if tab := lfact(); p > 0 && p < 1 && n < len(tab) {
+		return math.Exp(tab[n] - tab[k] - tab[n-k] + float64(k)*lp + float64(n-k)*lq)
+	}
+	return dist.BinomialPMF(n, k, p)
+}
+
 // majorityDP holds the scratch buffers of the rival-profile scan so
 // one phase's O(k·window) winProb calls do not allocate.
 type majorityDP struct {
@@ -245,12 +295,18 @@ type majorityDP struct {
 	f   []float64 // (ballsPlaced, ties) layer, ties-major within a row
 	g   []float64 // next layer
 	pmf []float64 // per-(state,rival) binomial row
+	// The current winner's rival conditionals, in opinion order:
+	// pc[s] is rival s's share of the mass the rivals before it left,
+	// lpc[s] and lqc[s] its logs for binomPMF.
+	pc, lpc, lqc []float64
 }
 
 // ensure sizes the scratch for a (k, ℓ) evaluation, growing (never
 // shrinking) the backing arrays so an evaluator amortizes to zero
-// allocations. Stale buffer contents are harmless: winProb zeroes the
-// layers it reads and binomRow's window is fully rewritten before use.
+// allocations. f and g are all-zero between winProb calls — winProb
+// clears exactly the rows it touched before returning — and
+// binomRow's window is fully rewritten before use, so no stale
+// content can leak into a later shape.
 func (dp *majorityDP) ensure(k, ell int) {
 	dp.k, dp.ell = k, ell
 	if need := (ell + 1) * k; len(dp.f) < need {
@@ -260,14 +316,46 @@ func (dp *majorityDP) ensure(k, ell int) {
 	if len(dp.pmf) < ell+1 {
 		dp.pmf = make([]float64, ell+1)
 	}
+	if len(dp.pc) < k {
+		c := make([]float64, 3*k)
+		dp.pc, dp.lpc, dp.lqc = c[:k], c[k:2*k], c[2*k:]
+	}
+}
+
+// setWinner fixes candidate winner j for the winProb calls that
+// follow. Conditional on Y_j the rival profile is Multinomial(·,
+// q_{−j}/(1−q_j)), factored into sequential conditional binomials in
+// opinion order; their success probabilities depend on j alone, not
+// on the winning count, so they are computed here once per winner.
+func (dp *majorityDP) setWinner(q []float64, j int) {
+	remMass := 1 - q[j]
+	s := 0
+	for i, qi := range q {
+		if i == j {
+			continue
+		}
+		pc := 0.0
+		if remMass > 0 {
+			pc = qi / remMass
+			if pc > 1 {
+				pc = 1
+			}
+		}
+		remMass -= qi
+		dp.pc[s], dp.lpc[s], dp.lqc[s] = pc, math.Log(pc), math.Log1p(-pc)
+		s++
+	}
 }
 
 // winProb returns Pr(maj = j | Y_j = m) for Y ~ Multinomial(ell, q)
-// (ties u.a.r.) together with the conditional probability mass it
-// pruned below cut. The rival profile conditional on Y_j = m is
-// Multinomial(ell−m, q_{−j}/(1−q_j)), factored into sequential
-// conditional binomials in opinion order.
-func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, float64) {
+// (ties u.a.r.), j the winner fixed by setWinner, together with the
+// conditional probability mass it pruned below cut. Each DP layer
+// tracks the band [bLo, bHi] of ball counts that can hold mass and
+// scans, and afterwards clears, only that band; after s rivals at
+// most s ties exist, so a row's scan stops at t = s. Rows and ties
+// outside those bounds hold exact zeros, which add nothing, so
+// skipping them changes no float and no summation order.
+func (dp *majorityDP) winProb(m int, cut float64) (float64, float64) {
 	k := dp.k
 	balls := dp.ell - m // rival balls to place
 	// No rival balls: every rival sits at 0 < m — a strict win —
@@ -280,43 +368,21 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 		return 0, 0
 	}
 	f, g := dp.f, dp.g
-	for i := range f[:(balls+1)*k] {
-		f[i] = 0
-	}
 	f[0] = 1 // ballsPlaced=0, ties=0
-	remMass := 1 - q[j]
+	bLo, bHi := 0, 0
 	pruned := 0.0
-	rivals := 0
-	for i := range q {
-		if i != j {
-			rivals++
-		}
-	}
-	for i := range q {
-		if i == j {
-			continue
-		}
-		rivals--
-		last := rivals == 0
-		pc := 0.0
-		if remMass > 0 {
-			pc = q[i] / remMass
-			if pc > 1 {
-				pc = 1
-			}
-		}
-		remMass -= q[i]
-		for x := range g[:(balls+1)*k] {
-			g[x] = 0
-		}
-		for b := 0; b <= balls; b++ {
-			row := f[b*k : b*k+k]
+	rivals := k - 1
+	for s := 0; s < rivals; s++ {
+		last := s == rivals-1
+		pc, lpc, lqc := dp.pc[s], dp.lpc[s], dp.lqc[s]
+		gLo, gHi := balls+1, -1
+		for b := bLo; b <= bHi; b++ {
+			row := f[b*k : b*k+s+1]
 			R := balls - b
 			lo, hi := 0, -1
 			rowPruned := 0.0
 			windowReady := false
-			for t := 0; t < k; t++ {
-				v := row[t]
+			for t, v := range row {
 				if v == 0 {
 					continue
 				}
@@ -337,6 +403,7 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 						ti++
 					}
 					g[(b+R)*k+ti] += v
+					gLo, gHi = balls, balls
 					continue
 				}
 				if !windowReady {
@@ -344,8 +411,12 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 					if R < amax {
 						amax = R
 					}
-					lo, hi, rowPruned = dp.binomRow(R, pc, amax, cut)
+					lo, hi, rowPruned = dp.binomRow(R, pc, lpc, lqc, amax, cut)
 					windowReady = true
+					if lo <= hi {
+						gLo = min(gLo, b+lo)
+						gHi = max(gHi, b+hi)
+					}
 				}
 				pruned += v * rowPruned
 				for a := lo; a <= hi; a++ {
@@ -361,7 +432,11 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 				}
 			}
 		}
+		if bLo <= bHi {
+			clear(f[bLo*k : (bHi+1)*k])
+		}
 		f, g = g, f
+		bLo, bHi = gLo, gHi
 	}
 	win := 0.0
 	row := f[balls*k : balls*k+k]
@@ -369,6 +444,9 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 		if v != 0 {
 			win += v / float64(t+1)
 		}
+	}
+	if bLo <= bHi {
+		clear(f[bLo*k : (bHi+1)*k])
 	}
 	return win, pruned
 }
@@ -379,9 +457,10 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 // the window. Mass above amax (a rival count exceeding the candidate
 // winner) is deliberately not included — those profiles belong to
 // other (winner, count) terms, not to the truncation error. The PMF
-// is evaluated once at the in-range mode (log space) and extended by
-// its two-term recurrence, so a call costs O(amax) with a single Exp.
-func (dp *majorityDP) binomRow(R int, p float64, amax int, cut float64) (lo, hi int, pruned float64) {
+// is evaluated once at the in-range mode (binomPMF, with lp = ln p
+// and lq = ln(1−p)) and extended by its two-term recurrence, so a
+// call costs O(amax) with a single Exp.
+func (dp *majorityDP) binomRow(R int, p, lp, lq float64, amax int, cut float64) (lo, hi int, pruned float64) {
 	if amax > R {
 		amax = R
 	}
@@ -400,7 +479,7 @@ func (dp *majorityDP) binomRow(R int, p float64, amax int, cut float64) (lo, hi 
 	if mode > amax {
 		mode = amax
 	}
-	center := dist.BinomialPMF(R, mode, p)
+	center := binomPMF(R, mode, p, lp, lq)
 	if center < cut {
 		// The entire in-cap range is below the cut. Its true mass is
 		// at most the cap-range CDF; bound it conservatively by the

@@ -2,6 +2,7 @@ package census
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/gossipkit/noisyrumor/internal/analytic"
@@ -177,5 +178,103 @@ func TestMajorityLawSampleSizeOne(t *testing.T) {
 	}
 	if dropped > 1e-12 {
 		t.Fatalf("ℓ=1 law dropped %g mass", dropped)
+	}
+}
+
+// lawFuzzTols are the truncation tolerances FuzzMajorityLaw draws
+// from: the engine default and three looser ones at which every
+// truncation site (mCut, stateCut, the rival windows) bites.
+var lawFuzzTols = [...]float64{1e-13, 1e-9, 1e-6, 1e-3}
+
+// decodeLawInput maps fuzz bytes onto a valid MajorityLaw input:
+// k ∈ 2…8, ℓ ∈ 1…128, tol from lawFuzzTols, and q built from one byte
+// per opinion — 0 is a zero entry, 1 a 10⁻⁶ entry, anything else a
+// weight for the remaining mass (equal bytes give exact ties, adjacent
+// ones near-ties). A lone weight is a point mass; when no byte carries
+// weight, opinion 0 becomes the one that does.
+func decodeLawInput(kb, ellb, tolb uint8, qb []byte) ([]float64, int, float64) {
+	k := 2 + int(kb)%7
+	ell := 1 + int(ellb)%128
+	tol := lawFuzzTols[int(tolb)%len(lawFuzzTols)]
+	codes := make([]byte, k)
+	copy(codes, qb)
+	if slices.Max(codes) < 2 {
+		codes[0] = 2
+	}
+	q := make([]float64, k)
+	rest, wsum := 1.0, 0.0
+	for i, c := range codes {
+		switch c {
+		case 0:
+		case 1:
+			q[i] = 1e-6
+			rest -= 1e-6
+		default:
+			wsum += float64(c)
+		}
+	}
+	for i, c := range codes {
+		if c >= 2 {
+			q[i] = rest * float64(c) / wsum
+		}
+	}
+	return q, ell, tol
+}
+
+// FuzzMajorityLaw pins the evaluator bit for bit against the frozen
+// reference of law_ref_test.go — the shared binomial kernel, the
+// hoisted rival conditionals and the band-limited DP layers may change
+// no float of r and none of dropped — and checks the law's own
+// contract on the same input: Σr + dropped covers all probability, and
+// at enumerable ℓ the law agrees with analytic.MajProbs within the
+// accounted dropped mass. The committed corpus under
+// testdata/fuzz/FuzzMajorityLaw replays on every plain go test.
+func FuzzMajorityLaw(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kb, ellb, tolb uint8, qb []byte) {
+		q, ell, tol := decodeLawInput(kb, ellb, tolb, qb)
+		var ref refLawEvaluator
+		want, wd := ref.eval(q, ell, tol)
+		got, gd := MajorityLaw(q, ell, tol)
+		if math.Float64bits(gd) != math.Float64bits(wd) {
+			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v, reference %v", q, ell, tol, gd, wd)
+		}
+		sum := 0.0
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v, reference %v", q, ell, tol, j, got[j], want[j])
+			}
+			sum += got[j]
+		}
+		if sum+gd < 1-1e-11 {
+			t.Errorf("q=%v ℓ=%d tol=%g: Σr + dropped = %v < 1", q, ell, tol, sum+gd)
+		}
+		if ell > 12 {
+			return
+		}
+		enum := analytic.MajProbs(q, ell)
+		for j := range enum {
+			if math.Abs(got[j]-enum[j]) > gd+1e-10 {
+				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %.12f, enumeration %.12f (dropped %.3g)",
+					q, ell, tol, j, got[j], enum[j], gd)
+			}
+		}
+	})
+}
+
+// TestBinomPMFBitIdentical pins the shared table-driven kernel against
+// dist.BinomialPMF bit for bit — every law and certificate term goes
+// through it — on the table's interior and edges, past its end (the
+// dist fallback), off the support, and at degenerate p.
+func TestBinomPMFBitIdentical(t *testing.T) {
+	for _, p := range []float64{0, 1e-300, 1e-6, 0.1, 1.0 / 3, 0.5, 0.77, 1 - 1e-9, 1, 1 + 1e-10} {
+		lp, lq := math.Log(p), math.Log1p(-p)
+		for _, n := range []int{0, 1, 2, 11, 81, 665, lfactSize - 1, lfactSize, 3 * lfactSize} {
+			for _, k := range []int{-1, 0, 1, n / 3, n / 2, n - 1, n, n + 1} {
+				got, want := binomPMF(n, k, p, lp, lq), dist.BinomialPMF(n, k, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("binomPMF(%d, %d, %v) = %v, dist.BinomialPMF %v", n, k, p, got, want)
+				}
+			}
+		}
 	}
 }

@@ -213,30 +213,61 @@ func TestFastPathsBitIdenticalToDP(t *testing.T) {
 }
 
 // TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
-// return the exact floats of the allocating wrapper, including across
-// reuse at varying (k, ℓ) — stale buffer contents may never leak.
+// return the exact floats of a fresh one (the allocating wrapper, and
+// the frozen reference of law_ref_test.go), including across reuse at
+// varying (k, ℓ, tol). The DP layers are cleared only over the band a
+// call touched, so stale scratch is the way this can fail: the
+// sequence shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81)
+// and loosens, then tightens, the tolerance.
 func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 	var ev lawEvaluator
 	cases := []struct {
 		q   []float64
 		ell int
+		tol float64
 	}{
-		{[]float64{0.9, 0.04, 0.03, 0.02, 0.01}, 9},
-		{[]float64{0.5, 0.3, 0.2}, 33},
-		{[]float64{0.7, 0.3}, 11},
-		{[]float64{0.25, 0.25, 0.25, 0.25}, 81},
-		{[]float64{0.5, 0.3, 0.2}, 5},
+		{[]float64{0.9, 0.04, 0.03, 0.02, 0.01}, 9, 1e-13},
+		{[]float64{0.5, 0.3, 0.2}, 33, 1e-13},
+		{[]float64{0.7, 0.3}, 11, 1e-13},
+		{[]float64{0.25, 0.25, 0.25, 0.25}, 81, 1e-13},
+		{[]float64{0.5, 0.3, 0.2}, 5, 1e-13},
+		{[]float64{0.16, 0.14, 0.14, 0.12, 0.12, 0.12, 0.1, 0.1}, 120, 1e-13},
+		{[]float64{0.4, 0.35, 0.25}, 11, 1e-6},
+		{[]float64{0.38, 0.34, 0.28}, 11, 1e-3},
+		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 81, 1e-9},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
 	}
 	for _, c := range cases {
-		want, wd := MajorityLaw(c.q, c.ell, 1e-13)
-		got, gd := ev.eval(c.q, c.ell, 1e-13)
-		if wd != gd {
-			t.Errorf("q=%v ℓ=%d: dropped %v vs %v", c.q, c.ell, gd, wd)
+		want, wd := MajorityLaw(c.q, c.ell, c.tol)
+		var ref refLawEvaluator
+		rwant, rwd := ref.eval(c.q, c.ell, c.tol)
+		got, gd := ev.eval(c.q, c.ell, c.tol)
+		if wd != gd || rwd != gd {
+			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v vs fresh %v, reference %v", c.q, c.ell, c.tol, gd, wd, rwd)
 		}
 		for j := range want {
-			if got[j] != want[j] {
-				t.Errorf("q=%v ℓ=%d: r[%d] = %v vs %v", c.q, c.ell, j, got[j], want[j])
+			if got[j] != want[j] || got[j] != rwant[j] {
+				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v vs fresh %v, reference %v",
+					c.q, c.ell, c.tol, j, got[j], want[j], rwant[j])
 			}
+		}
+	}
+}
+
+// TestLawEvaluatorZeroAllocs pins the lawEvaluator contract that a
+// warmed evaluator allocates nothing: the engine evaluates the law in
+// every exact k ≥ 3 Stage-2 phase, so one allocation per call would
+// show up as GC work across a sweep.
+func TestLawEvaluatorZeroAllocs(t *testing.T) {
+	for _, q := range [][]float64{
+		{0.55, 0.45},
+		{0.4, 0.35, 0.25},
+		{0.3, 0.25, 0.2, 0.15, 0.1},
+	} {
+		var ev lawEvaluator
+		ev.eval(q, 81, DefaultTolerance)
+		if n := testing.AllocsPerRun(10, func() { ev.eval(q, 81, DefaultTolerance) }); n != 0 {
+			t.Errorf("k=%d: warmed eval allocates %v times per call, want 0", len(q), n)
 		}
 	}
 }
