@@ -19,7 +19,7 @@ HEADLINE_BENCH := 'BenchmarkRumorSpreading($$|Huge)|BenchmarkPhase(Batch|Paralle
 # specific point.
 BENCH_N ?= $(shell i=1; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; echo $$i)
 
-.PHONY: build vet lint test race sweep-smoke obs-smoke chaos bench-test bench-quick bench-json profile check clean
+.PHONY: build vet lint test race fuzz sweep-smoke obs-smoke chaos bench-test bench-quick bench-json profile check clean
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,16 @@ test:
 # timeout even though every test passes.
 race:
 	$(GO) test -race -shuffle=on -timeout 30m ./...
+
+# fuzz runs the majority-law fuzz target for FUZZTIME: FuzzMajorityLaw
+# pins MajorityLaw's r bit for bit to the frozen reference evaluator,
+# bounds its dropped mass, and checks it against exhaustive enumeration
+# at small ℓ. Go's native fuzzer needs no download. A failing input is
+# written under internal/census/testdata/fuzz/FuzzMajorityLaw/; rename
+# it to say what it covers and commit it, so plain `go test` replays it.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMajorityLaw$$' -fuzztime $(FUZZTIME) ./internal/census
 
 # A tiny 3-point grid through the cmd/sweep flag surface under the
 # race detector: proves the sweep worker fan-out end to end.
@@ -128,7 +138,7 @@ profile:
 	    -o profiles/sweep.test ./internal/sweep
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
 
-check: build lint race sweep-smoke obs-smoke chaos bench-test bench-quick
+check: build lint race fuzz sweep-smoke obs-smoke chaos bench-test bench-quick
 
 clean:
 	$(GO) clean ./...

@@ -64,31 +64,39 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // Multinomial(ell−m, q_{−j}/(1−q_j)), scanned by a dynamic program
 // over rival opinions tracking (balls placed, rivals tied at m), all
 // placed counts ≤ m; a terminal state with t ties contributes its
-// mass/(t+1), the uniform tie-break. Truncation — all of it
-// accounted into dropped — happens at three sites: winning counts m
-// with binomial mass below tol/(4(ℓ+1)), DP states below an analogous
-// cut, and per-rival count windows pruned below the cut. The cost is
-// independent of n and, once the windows bind, scales with the
-// binomial standard deviations rather than ℓ²; analytic.MajProbs (an
-// exhaustive enumeration) is the cross-check oracle at small ℓ.
+// mass/(t+1), the uniform tie-break. Sure losses are neither won nor
+// dropped: a winning count m < ⌈ℓ/k⌉ is skipped outright (the rivals
+// then hold more than m(k−1) balls), and a rival window starts at the
+// count below which the rivals still to come would have to hold more
+// than m each. Truncation — all of it accounted into dropped — happens
+// at three sites: winning counts m with binomial mass below
+// tol/(4(ℓ+1)), DP states below an analogous cut, and per-rival count
+// windows pruned below the cut. The cost is independent of n and,
+// once the windows bind, scales with the binomial standard deviations
+// rather than ℓ²; analytic.MajProbs (an exhaustive enumeration) is the
+// cross-check oracle at small ℓ.
 //
 // Two analytic fast paths skip the rival DP entirely while producing
 // bit-identical results (pinned by TestFastPathsBitIdenticalToDP): a
 // point-mass q (the consensus endgame, where most phases of a winning
 // trial live) collapses to r = q in O(k), and k = 2 reduces to the
 // plain binomial tail of TestMajorityLawBinomialIdentity, truncation
-// sites included.
+// sites and sure-loss floor included.
 //
 // Every binomial term — each winning-count pmf and the centre of each
 // rival window — comes from binomPMF, one table-driven kernel (ln Γ
 // read from a lazily built table, ln p and ln(1−p) hoisted per winner
 // or rival) that reproduces dist.BinomialPMF bit for bit and that the
 // quantization certificate shares. The rival conditionals are computed
-// once per winner, and each DP layer scans and clears only the band
-// of ball counts that can hold mass. None of this changes a float or
-// its summation order: FuzzMajorityLaw pins r and dropped bit for bit
-// against a frozen copy of the evaluator as it stood before these
-// steps (law_ref_test.go).
+// once per winner, and so is each rival row's centre whose mode the
+// winning count does not cap, memoized per (rival, remaining balls).
+// The DP scratch is tie-major, so one rival window is one contiguous
+// multiply-add, and each DP layer scans and clears only the band of
+// ball counts that can hold mass. None of this changes a float of r
+// or its summation order: FuzzMajorityLaw pins r bit for bit against
+// a frozen copy of the evaluator as it stood before these steps
+// (law_ref_test.go), and dropped to at most that copy's — it charged
+// sure losses too.
 //
 // MajorityLaw allocates its result and scratch; hot paths hold a
 // lawEvaluator and call eval, which reuses both.
@@ -174,7 +182,10 @@ func (ev *lawEvaluator) eval(q []float64, ell int, tol float64) ([]float64, floa
 
 // evalGeneral is the winner×count binomial factoring with the rival
 // DP — the path every k ≥ 3 non-degenerate pool takes, and the
-// reference the fast paths are pinned bit-identical against.
+// reference the fast paths are pinned bit-identical against. Winning
+// counts below ⌈ℓ/k⌉ are skipped outright: the k−1 rivals then hold
+// ℓ−m > m(k−1) balls, so one of them beats m — a sure loss, which is
+// neither won nor truncated.
 func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
 	k := len(q)
 	dropped := 0.0
@@ -189,7 +200,7 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 		}
 		lp, lq := math.Log(p), math.Log1p(-p)
 		dp.setWinner(q, j)
-		for m := 0; m <= ell; m++ {
+		for m := (ell + k - 1) / k; m <= ell; m++ {
 			pm := binomPMF(ell, m, p, lp, lq)
 			if pm == 0 {
 				continue
@@ -210,10 +221,11 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 // all remaining balls, so conditional on Y_j = m the outcome is
 // deterministic — a strict win for m > ℓ−m, a two-way u.a.r. tie at
 // m = ℓ−m, a loss below — and the law is the plain binomial tail of
-// TestMajorityLawBinomialIdentity. Every branch mirrors a winProb
-// branch (balls == 0 / m == 0 early returns, the stateCut prune of the
-// unit root state, the R > m loss) with the same float arithmetic, so
-// the path is bit-identical to the DP at any tolerance.
+// TestMajorityLawBinomialIdentity. The count loop starts at the same
+// sure-loss floor ⌈ℓ/2⌉ as evalGeneral's, and every branch mirrors a
+// winProb branch (the balls == 0 early return, the stateCut prune of
+// the unit root state) with the same float arithmetic, so the path is
+// bit-identical to the DP at any tolerance.
 func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
 	dropped := 0.0
 	for j := 0; j < 2; j++ {
@@ -222,7 +234,7 @@ func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64,
 			continue
 		}
 		lp, lq := math.Log(p), math.Log1p(-p)
-		for m := 0; m <= ell; m++ {
+		for m := (ell + 1) / 2; m <= ell; m++ {
 			pm := binomPMF(ell, m, p, lp, lq)
 			if pm == 0 {
 				continue
@@ -235,15 +247,10 @@ func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64,
 			switch {
 			case balls == 0:
 				r[j] += pm // winProb's ball-free strict win
-			case m == 0:
-				// The rival holds ≥ 1 balls: a sure loss.
 			case 1 < stateCut:
 				// The DP's unit root state falls below the cut; the
 				// general path prunes the whole conditional mass.
 				dropped += pm
-			case balls > m:
-				// The rival's forced count beats m: a loss, not
-				// truncation.
 			case balls == m:
 				r[j] += pm * 0.5 // two-way tie, broken u.a.r.
 			default:
@@ -292,26 +299,33 @@ func binomPMF(n, k int, p, lp, lq float64) float64 {
 type majorityDP struct {
 	k   int
 	ell int
-	f   []float64 // (ballsPlaced, ties) layer, ties-major within a row
-	g   []float64 // next layer
-	pmf []float64 // per-(state,rival) binomial row
+	// f and g are the current and next DP layer, tie-major: the state
+	// (balls placed b, rivals tied with the winner t) sits at
+	// t·(ℓ+1)+b, so one rival window lands on a contiguous run of g.
+	f, g []float64
+	pmf  []float64 // per-(state,rival) binomial row
 	// The current winner's rival conditionals, in opinion order:
 	// pc[s] is rival s's share of the mass the rivals before it left,
 	// lpc[s] and lqc[s] its logs for binomPMF.
 	pc, lpc, lqc []float64
+	// center[s·(ℓ+1)+R] memoizes rival s's uncapped row centre
+	// Pr(Binomial(R, pc[s]) = mode), which depends on the winner but
+	// not on its count; negative means not yet computed.
+	center []float64
 }
 
 // ensure sizes the scratch for a (k, ℓ) evaluation, growing (never
 // shrinking) the backing arrays so an evaluator amortizes to zero
 // allocations. f and g are all-zero between winProb calls — winProb
-// clears exactly the rows it touched before returning — and
-// binomRow's window is fully rewritten before use, so no stale
-// content can leak into a later shape.
+// clears exactly the rows it touched before returning — binomRow's
+// window is fully rewritten before use, and setWinner resets the
+// centre memo, so no stale content can leak into a later shape.
 func (dp *majorityDP) ensure(k, ell int) {
 	dp.k, dp.ell = k, ell
 	if need := (ell + 1) * k; len(dp.f) < need {
 		dp.f = make([]float64, need)
 		dp.g = make([]float64, need)
+		dp.center = make([]float64, need)
 	}
 	if len(dp.pmf) < ell+1 {
 		dp.pmf = make([]float64, ell+1)
@@ -326,7 +340,8 @@ func (dp *majorityDP) ensure(k, ell int) {
 // follow. Conditional on Y_j the rival profile is Multinomial(·,
 // q_{−j}/(1−q_j)), factored into sequential conditional binomials in
 // opinion order; their success probabilities depend on j alone, not
-// on the winning count, so they are computed here once per winner.
+// on the winning count, so they are computed here once per winner,
+// and the row centres memoized under the previous winner are void.
 func (dp *majorityDP) setWinner(q []float64, j int) {
 	remMass := 1 - q[j]
 	s := 0
@@ -345,6 +360,10 @@ func (dp *majorityDP) setWinner(q []float64, j int) {
 		dp.pc[s], dp.lpc[s], dp.lqc[s] = pc, math.Log(pc), math.Log1p(-pc)
 		s++
 	}
+	center := dp.center[:(dp.k-1)*(dp.ell+1)]
+	for i := range center {
+		center[i] = -1
+	}
 }
 
 // winProb returns Pr(maj = j | Y_j = m) for Y ~ Multinomial(ell, q)
@@ -352,37 +371,40 @@ func (dp *majorityDP) setWinner(q []float64, j int) {
 // conditional probability mass it pruned below cut. Each DP layer
 // tracks the band [bLo, bHi] of ball counts that can hold mass and
 // scans, and afterwards clears, only that band; after s rivals at
-// most s ties exist, so a row's scan stops at t = s. Rows and ties
-// outside those bounds hold exact zeros, which add nothing, so
-// skipping them changes no float and no summation order.
+// most s ties exist, so a row's scan stops at t = s. A state whose
+// remaining R balls exceed m times the rivals still to come is a sure
+// loss — some rival must beat m — so it is never created: binomRow
+// starts each window at that floor. Rows, ties and sure losses
+// outside those bounds only ever feed zeros or other sure losses, so
+// skipping them changes no float of the win and no summation order.
 func (dp *majorityDP) winProb(m int, cut float64) (float64, float64) {
 	k := dp.k
 	balls := dp.ell - m // rival balls to place
-	// No rival balls: every rival sits at 0 < m — a strict win —
-	// unless m = 0, which cannot happen for ℓ ≥ 1.
+	// No rival balls: every rival sits at 0 < m — a strict win.
 	if balls == 0 {
 		return 1, 0
 	}
-	if m == 0 {
-		// Rivals hold balls ≥ 1 balls, so some rival exceeds zero.
+	rivals := k - 1
+	if balls > m*rivals {
+		// A sure loss at the root. evalGeneral's count floor never
+		// asks for one; binomRow's floor ≤ amax relies on its absence.
 		return 0, 0
 	}
+	stride := dp.ell + 1
 	f, g := dp.f, dp.g
 	f[0] = 1 // ballsPlaced=0, ties=0
 	bLo, bHi := 0, 0
 	pruned := 0.0
-	rivals := k - 1
 	for s := 0; s < rivals; s++ {
-		last := s == rivals-1
-		pc, lpc, lqc := dp.pc[s], dp.lpc[s], dp.lqc[s]
+		after := rivals - 1 - s // rivals still to place after this one
 		gLo, gHi := balls+1, -1
 		for b := bLo; b <= bHi; b++ {
-			row := f[b*k : b*k+s+1]
 			R := balls - b
 			lo, hi := 0, -1
 			rowPruned := 0.0
 			windowReady := false
-			for t, v := range row {
+			for t := 0; t <= s; t++ {
+				v := f[t*stride+b]
 				if v == 0 {
 					continue
 				}
@@ -390,28 +412,20 @@ func (dp *majorityDP) winProb(m int, cut float64) (float64, float64) {
 					pruned += v
 					continue
 				}
-				if last {
-					// The final rival absorbs the remaining R balls
+				if after == 0 {
+					// The final rival absorbs the remaining R ≤ m balls
 					// exactly (its conditional success probability is
-					// 1). R > m means a rival beats the winner — a
-					// loss for j, not truncated mass.
-					if R > m {
-						continue
-					}
+					// 1), tying the winner at R = m.
 					ti := t
 					if R == m {
 						ti++
 					}
-					g[(b+R)*k+ti] += v
+					g[ti*stride+balls] += v
 					gLo, gHi = balls, balls
 					continue
 				}
 				if !windowReady {
-					amax := m
-					if R < amax {
-						amax = R
-					}
-					lo, hi, rowPruned = dp.binomRow(R, pc, lpc, lqc, amax, cut)
+					lo, hi, rowPruned = dp.binomRow(s, R, max(0, R-m*after), min(m, R), cut)
 					windowReady = true
 					if lo <= hi {
 						gLo = min(gLo, b+lo)
@@ -419,52 +433,64 @@ func (dp *majorityDP) winProb(m int, cut float64) (float64, float64) {
 					}
 				}
 				pruned += v * rowPruned
-				for a := lo; a <= hi; a++ {
-					w := dp.pmf[a]
-					if w == 0 {
-						continue
-					}
-					ti := t
-					if a == m {
-						ti++
-					}
-					g[(b+a)*k+ti] += v * w
+				if lo > hi {
+					continue
+				}
+				// a = m ties the winner, so that term lands in plane
+				// t+1; the rest of the window is one contiguous update
+				// of plane t. Every destination still receives its
+				// terms in ascending b, so no sum is reordered.
+				top := hi
+				if hi == m {
+					top--
+					g[(t+1)*stride+b+m] += v * dp.pmf[m]
+				}
+				x := dp.pmf[lo : top+1]
+				y := g[t*stride+b+lo : t*stride+b+top+1]
+				y = y[:len(x)]
+				for i, w := range x {
+					y[i] += v * w
 				}
 			}
 		}
 		if bLo <= bHi {
-			clear(f[bLo*k : (bHi+1)*k])
+			for t := 0; t <= s; t++ {
+				clear(f[t*stride+bLo : t*stride+bHi+1])
+			}
 		}
 		f, g = g, f
 		bLo, bHi = gLo, gHi
 	}
 	win := 0.0
-	row := f[balls*k : balls*k+k]
-	for t, v := range row {
-		if v != 0 {
+	for t := 0; t < k; t++ {
+		if v := f[t*stride+balls]; v != 0 {
 			win += v / float64(t+1)
 		}
 	}
 	if bLo <= bHi {
-		clear(f[bLo*k : (bHi+1)*k])
+		for t := 0; t < k; t++ {
+			clear(f[t*stride+bLo : t*stride+bHi+1])
+		}
 	}
 	return win, pruned
 }
 
-// binomRow fills dp.pmf[a] = Pr(Binomial(R, p) = a) for a in the
-// returned contiguous window [lo, hi] ⊆ [0, amax] of entries ≥ cut,
-// and returns the pruned mass: the PMF total over [0, amax] outside
-// the window. Mass above amax (a rival count exceeding the candidate
-// winner) is deliberately not included — those profiles belong to
-// other (winner, count) terms, not to the truncation error. The PMF
-// is evaluated once at the in-range mode (binomPMF, with lp = ln p
-// and lq = ln(1−p)) and extended by its two-term recurrence, so a
-// call costs O(amax) with a single Exp.
-func (dp *majorityDP) binomRow(R int, p, lp, lq float64, amax int, cut float64) (lo, hi int, pruned float64) {
-	if amax > R {
-		amax = R
-	}
+// binomRow fills dp.pmf[a] = Pr(Binomial(R, pc[s]) = a) for a in the
+// returned contiguous window [lo, hi] ⊆ [floor, amax] of entries ≥ cut,
+// and returns the pruned mass: the PMF total over [floor, amax]
+// outside the window. Mass above amax (a rival count exceeding the
+// candidate winner) and below floor (too many balls left for the
+// rivals after s) is deliberately not included — those profiles are
+// sure losses for the winner, not truncation error. The PMF is
+// evaluated once at the in-range mode (binomPMF, memoized per (s, R)
+// when the mode is not capped at amax) and extended by its two-term
+// recurrence, so a call costs O(amax−floor) with at most one Exp.
+func (dp *majorityDP) binomRow(s, R, floor, amax int, cut float64) (lo, hi int, pruned float64) {
+	p := dp.pc[s]
 	if p <= 0 {
+		if floor > 0 {
+			return 0, -1, 0 // all mass at a = 0 < floor: a sure loss
+		}
 		dp.pmf[0] = 1
 		return 0, 0, 0
 	}
@@ -476,27 +502,35 @@ func (dp *majorityDP) binomRow(R int, p, lp, lq float64, amax int, cut float64) 
 		return 0, -1, 0 // all mass above the cap: a loss, not truncation
 	}
 	mode := int(float64(R+1) * p)
+	var center float64
 	if mode > amax {
 		mode = amax
+		center = binomPMF(R, mode, p, dp.lpc[s], dp.lqc[s])
+	} else {
+		c := &dp.center[s*(dp.ell+1)+R]
+		if *c < 0 {
+			*c = binomPMF(R, mode, p, dp.lpc[s], dp.lqc[s])
+		}
+		center = *c
 	}
-	center := binomPMF(R, mode, p, lp, lq)
 	if center < cut {
-		// The entire in-cap range is below the cut. Its true mass is
-		// at most the cap-range CDF; bound it conservatively by the
-		// unimodal envelope (amax+1 terms each ≤ center).
-		return 0, -1, float64(amax+1) * center
+		// The entire range is below the cut. Its true mass over
+		// [floor, amax] is bounded by the unimodal envelope: each of
+		// its terms is ≤ center.
+		return 0, -1, float64(amax-floor+1) * center
 	}
 	odds := p / (1 - p)
 	dp.pmf[mode] = center
-	lo = 0
+	lo = floor
 	v := center
-	for a := mode - 1; a >= 0; a-- {
+	for a := mode - 1; a >= floor; a-- {
 		// pmf(a) = pmf(a+1)·(a+1)/((R−a)·odds)
 		v *= float64(a+1) / (float64(R-a) * odds)
 		if v < cut {
 			// The remaining lower tail is monotone decreasing; sum
-			// what the recurrence yields until it underflows.
-			for aa := a; aa >= 0 && v > 0; aa-- {
+			// what the recurrence yields down to the floor until it
+			// underflows.
+			for aa := a; aa >= floor && v > 0; aa-- {
 				pruned += v
 				v *= float64(aa) / (float64(R-aa+1) * odds)
 			}
@@ -512,7 +546,9 @@ func (dp *majorityDP) binomRow(R int, p, lp, lq float64, amax int, cut float64) 
 		v *= float64(R-a+1) / float64(a) * odds
 		if v < cut {
 			for aa := a; aa <= amax && v > 0; aa++ {
-				pruned += v
+				if aa >= floor {
+					pruned += v
+				}
 				v *= float64(R-aa) / float64(aa+1) * odds
 			}
 			hi = a - 1

@@ -213,12 +213,18 @@ func TestFastPathsBitIdenticalToDP(t *testing.T) {
 }
 
 // TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
-// return the exact floats of a fresh one (the allocating wrapper, and
-// the frozen reference of law_ref_test.go), including across reuse at
-// varying (k, ℓ, tol). The DP layers are cleared only over the band a
-// call touched, so stale scratch is the way this can fail: the
-// sequence shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81)
-// and loosens, then tightens, the tolerance.
+// return the exact floats of a fresh one (the allocating wrapper), r
+// and dropped alike, and the r of the frozen reference of
+// law_ref_test.go, with dropped never above the reference's (the
+// sure-loss floors charge less, never more) — including across reuse
+// at varying (k, ℓ, q, tol). Stale scratch is the way this can fail:
+// the DP layers are cleared only over the band a call touched, and
+// the row-centre memo lives across a winner's counts. So the sequence
+// shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81), loosens,
+// then tightens, the tolerance, evaluates different pools back to
+// back at one (k, ℓ, tol), and includes pools whose rival rows at one
+// (rival, R) switch between a mode capped at the winning count and an
+// uncapped one as that count grows.
 func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 	var ev lawEvaluator
 	cases := []struct {
@@ -236,13 +242,25 @@ func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 		{[]float64{0.38, 0.34, 0.28}, 11, 1e-3},
 		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 81, 1e-9},
 		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
+		// Same (k, ℓ, tol), a different pool each time: every memoized
+		// row centre of the previous call is stale.
+		{[]float64{0.1, 0.15, 0.2, 0.25, 0.3}, 81, 1e-13},
+		{[]float64{0.2, 0.2, 0.2, 0.2, 0.2}, 81, 1e-13},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
+		// Under winner 0, opinion 2 (pc = 0.5/0.7) at R = 20 has mode
+		// 14: its row is capped at winning counts 10…13, uncapped from
+		// 14 on, and the DP reaches it at both. Under winner 1 the same
+		// row has mode 15.
+		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-13},
+		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-6},
+		{[]float64{0.15, 0.05, 0.6, 0.1, 0.1}, 64, 1e-13},
 	}
 	for _, c := range cases {
 		want, wd := MajorityLaw(c.q, c.ell, c.tol)
 		var ref refLawEvaluator
 		rwant, rwd := ref.eval(c.q, c.ell, c.tol)
 		got, gd := ev.eval(c.q, c.ell, c.tol)
-		if wd != gd || rwd != gd {
+		if wd != gd || !(gd >= 0 && gd <= rwd) {
 			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v vs fresh %v, reference %v", c.q, c.ell, c.tol, gd, wd, rwd)
 		}
 		for j := range want {
