@@ -165,6 +165,7 @@ func certPair(np int, p, p1 float64, m0, wmax int, ts []int, nt []float64) {
 	if p1 > 0 && p1 < 1 {
 		lp1, lq1 = math.Log(p1), math.Log1p(-p1)
 	}
+	lf := lfact()
 	mode := int(math.Floor(float64(np+1) * p))
 	if mode > np {
 		mode = np
@@ -174,7 +175,7 @@ func certPair(np int, p, p1 float64, m0, wmax int, ts []int, nt []float64) {
 	pT := pm
 	for T := mode; T >= 0 && pT >= certOuterCut; T-- {
 		visited += pT
-		certPairInner(T, pT, p1, lp1, lq1, m0, wmax, ts, nt)
+		certPairInner(lf, T, pT, p1, lp1, lq1, m0, wmax, ts, nt)
 		if T > 0 {
 			pT *= float64(T) / float64(np-T+1) * q / p
 		}
@@ -183,7 +184,7 @@ func certPair(np int, p, p1 float64, m0, wmax int, ts []int, nt []float64) {
 		pT = pm * float64(np-mode) / float64(mode+1) * p / q
 		for T := mode + 1; T <= np && pT >= certOuterCut; T++ {
 			visited += pT
-			certPairInner(T, pT, p1, lp1, lq1, m0, wmax, ts, nt)
+			certPairInner(lf, T, pT, p1, lp1, lq1, m0, wmax, ts, nt)
 			if T < np {
 				pT *= float64(np-T) / float64(T+1) * p / q
 			}
@@ -198,8 +199,9 @@ func certPair(np int, p, p1 float64, m0, wmax int, ts []int, nt []float64) {
 
 // certPairInner adds P(T)·P(X = x | T) for every x in the wmax window
 // around T/2 that satisfies max(x, T−x) ≥ m0, bucketed by d = |2x − T|
-// into each budget whose window 1+2·ts[i] covers d.
-func certPairInner(T int, pT, p1, lp1, lq1 float64, m0, wmax int, ts []int, nt []float64) {
+// into each budget whose window 1+2·ts[i] covers d. lf is the lfact
+// table, fetched once per certPair.
+func certPairInner(lf []float64, T int, pT, p1, lp1, lq1 float64, m0, wmax int, ts []int, nt []float64) {
 	if 2*m0-wmax > T {
 		return // max(x, T−x) ≤ (T+wmax)/2 < m0 throughout the window
 	}
@@ -230,7 +232,7 @@ func certPairInner(T int, pT, p1, lp1, lq1 float64, m0, wmax int, ts []int, nt [
 	if x1 > T {
 		x1 = T
 	}
-	px := binomPMF(T, x0, p1, lp1, lq1)
+	px := binomPMF(lf, T, x0, p1, lp1, lq1)
 	for x := x0; x <= x1; x++ {
 		d := 2*x - T
 		if d < 0 {

@@ -76,20 +76,28 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // rather than ℓ²; analytic.MajProbs (an exhaustive enumeration) is the
 // cross-check oracle at small ℓ.
 //
-// Two analytic fast paths skip the rival DP entirely while producing
-// bit-identical results (pinned by TestFastPathsBitIdenticalToDP): a
-// point-mass q (the consensus endgame, where most phases of a winning
-// trial live) collapses to r = q in O(k), and k = 2 reduces to the
-// plain binomial tail of TestMajorityLawBinomialIdentity, truncation
-// sites and sure-loss floor included.
+// Three fast paths skip the general rival DP while producing
+// bit-identical r and dropped (pinned by TestFastPathsBitIdenticalToDP
+// and FuzzMajorityLaw): a point-mass q (the consensus endgame, where
+// most phases of a winning trial live) collapses to r = q in O(k);
+// k = 2 reduces to the plain binomial tail of
+// TestMajorityLawBinomialIdentity, truncation sites and sure-loss
+// floor included; and k = 3 sums the first rival's window in one
+// ascending pass. That pass is exact because the DP's root state has
+// mass exactly 1, so its next layer holds the window itself
+// (0 + 1·w = w), and the last rival only absorbs: a window entry a
+// ends with t = [a = m] + [ℓ−m−a = m] ties, and the DP's absorbing
+// layer adds the entries of each tie class into one cell in the same
+// ascending order.
 //
 // Every binomial term — each winning-count pmf and the centre of each
 // rival window — comes from binomPMF, one table-driven kernel (ln Γ
-// read from a lazily built table, ln p and ln(1−p) hoisted per winner
-// or rival) that reproduces dist.BinomialPMF bit for bit and that the
-// quantization certificate shares. The rival conditionals are computed
-// once per winner, and so is each rival row's centre whose mode the
-// winning count does not cap, memoized per (rival, remaining balls).
+// read from a lazily built table, fetched once per evaluation, ln p
+// and ln(1−p) hoisted per winner or rival) that reproduces
+// dist.BinomialPMF bit for bit and that the quantization certificate
+// shares. The rival conditionals are computed once per winner, and so
+// is each rival row's centre whose mode the winning count does not
+// cap, memoized per (rival, remaining balls).
 // The DP scratch is tie-major, so one rival window is one contiguous
 // multiply-add, and each DP layer scans and clears only the band of
 // ball counts that can hold mass. None of this changes a float of r
@@ -174,14 +182,17 @@ func (ev *lawEvaluator) eval(q []float64, ell int, tol float64) ([]float64, floa
 			}
 		}
 	}
-	if k == 2 {
-		return ev.evalBinary(q, ell, mCut, stateCut, r)
+	switch k {
+	case 2:
+		return ev.evalBinary(q, ell, mCut, r)
+	case 3:
+		return ev.evalTernary(q, ell, mCut, stateCut, r)
 	}
 	return ev.evalGeneral(q, ell, mCut, stateCut, r)
 }
 
 // evalGeneral is the winner×count binomial factoring with the rival
-// DP — the path every k ≥ 3 non-degenerate pool takes, and the
+// DP — the path every k ≥ 4 non-degenerate pool takes, and the
 // reference the fast paths are pinned bit-identical against. Winning
 // counts below ⌈ℓ/k⌉ are skipped outright: the k−1 rivals then hold
 // ℓ−m > m(k−1) balls, so one of them beats m — a sure loss, which is
@@ -191,6 +202,7 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 	dropped := 0.0
 	dp := &ev.dp
 	dp.ensure(k, ell)
+	lf := lfact()
 	for j := 0; j < k; j++ {
 		p := q[j]
 		if p == 0 {
@@ -201,7 +213,7 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 		lp, lq := math.Log(p), math.Log1p(-p)
 		dp.setWinner(q, j)
 		for m := (ell + k - 1) / k; m <= ell; m++ {
-			pm := binomPMF(ell, m, p, lp, lq)
+			pm := binomPMF(lf, ell, m, p, lp, lq)
 			if pm == 0 {
 				continue
 			}
@@ -223,11 +235,14 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 // m = ℓ−m, a loss below — and the law is the plain binomial tail of
 // TestMajorityLawBinomialIdentity. The count loop starts at the same
 // sure-loss floor ⌈ℓ/2⌉ as evalGeneral's, and every branch mirrors a
-// winProb branch (the balls == 0 early return, the stateCut prune of
-// the unit root state) with the same float arithmetic, so the path is
-// bit-identical to the DP at any tolerance.
-func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
+// winProb branch (the balls == 0 early return) with the same float
+// arithmetic, so the path is bit-identical to the DP at any tolerance.
+// winProb's prune of its unit root state needs no mirror: it bites only
+// when the state cut exceeds 1, and then the count cut, k times larger,
+// exceeds every pm, so no count reaches it.
+func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut float64, r []float64) ([]float64, float64) {
 	dropped := 0.0
+	lf := lfact()
 	for j := 0; j < 2; j++ {
 		p := q[j]
 		if p == 0 {
@@ -235,7 +250,7 @@ func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64,
 		}
 		lp, lq := math.Log(p), math.Log1p(-p)
 		for m := (ell + 1) / 2; m <= ell; m++ {
-			pm := binomPMF(ell, m, p, lp, lq)
+			pm := binomPMF(lf, ell, m, p, lp, lq)
 			if pm == 0 {
 				continue
 			}
@@ -247,15 +262,64 @@ func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64,
 			switch {
 			case balls == 0:
 				r[j] += pm // winProb's ball-free strict win
-			case 1 < stateCut:
-				// The DP's unit root state falls below the cut; the
-				// general path prunes the whole conditional mass.
-				dropped += pm
 			case balls == m:
 				r[j] += pm * 0.5 // two-way tie, broken u.a.r.
 			default:
 				r[j] += pm // strict win
 			}
+		}
+	}
+	return r, dropped
+}
+
+// evalTernary is the k = 3 fast path: evalGeneral's count loop with
+// winProb replaced by one ascending pass over the first rival's
+// window, bit-identical to the DP. winProb's root state has mass
+// exactly 1, so its next layer holds the window itself (0 + 1·w = w)
+// and its pruned mass is the row's own. The second rival absorbs the
+// R − a balls the first leaves, so window entry a ends with
+// t = [a = m] + [R − a = m] ties, and winProb's absorbing layer adds
+// the entries of each tie class into one cell in ascending a, pruning
+// none (every entry is ≥ the cut). The pass sums each class in the
+// same order and returns winProb's terminal c₀ + c₁/2 + c₂/3, where an
+// empty class adds nothing either way. At R = 0 binomRow's unit row
+// makes this a strict win.
+func (ev *lawEvaluator) evalTernary(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
+	dropped := 0.0
+	dp := &ev.dp
+	dp.ensure(3, ell)
+	lf := lfact()
+	for j := 0; j < 3; j++ {
+		p := q[j]
+		if p == 0 {
+			continue
+		}
+		lp, lq := math.Log(p), math.Log1p(-p)
+		dp.setWinner(q, j)
+		for m := (ell + 2) / 3; m <= ell; m++ {
+			pm := binomPMF(lf, ell, m, p, lp, lq)
+			if pm == 0 {
+				continue
+			}
+			if pm < mCut {
+				dropped += pm
+				continue
+			}
+			R := ell - m
+			lo, hi, pruned := dp.binomRow(0, R, max(0, R-m), min(m, R), stateCut)
+			var c0, c1, c2 float64 // window mass by ties with the winner
+			for a := lo; a <= hi; a++ {
+				switch w := dp.pmf[a]; {
+				case a != m && R-a != m:
+					c0 += w
+				case a == m && R-a == m:
+					c2 += w
+				default:
+					c1 += w
+				}
+			}
+			r[j] += pm * (c0 + c1/2 + c2/3)
+			dropped += pm * pruned
 		}
 	}
 	return r, dropped
@@ -278,18 +342,19 @@ var lfact = sync.OnceValue(func() []float64 {
 })
 
 // binomPMF is dist.BinomialPMF for the hot law and certificate loops:
-// the caller supplies lp = ln p and lq = ln(1−p), hoisted once per
-// winner, rival or pair, and the log-binomial coefficient comes from
-// the lfact table. The operations and their order replicate
-// dist.BinomialPMF exactly, so the value is bit-identical, at one Exp
-// per call instead of three Lgamma, a Log, a Log1p and an Exp.
-// Degenerate p and n beyond the table defer to dist.BinomialPMF.
-func binomPMF(n, k int, p, lp, lq float64) float64 {
+// the caller supplies lf, the lfact table fetched once per evaluation,
+// and lp = ln p and lq = ln(1−p), hoisted once per winner, rival or
+// pair; the log-binomial coefficient comes from lf. The operations and
+// their order replicate dist.BinomialPMF exactly, so the value is
+// bit-identical, at one Exp per call instead of three Lgamma, a Log, a
+// Log1p and an Exp. Degenerate p and n beyond the table defer to
+// dist.BinomialPMF.
+func binomPMF(lf []float64, n, k int, p, lp, lq float64) float64 {
 	if k < 0 || k > n {
 		return 0
 	}
-	if tab := lfact(); p > 0 && p < 1 && n < len(tab) {
-		return math.Exp(tab[n] - tab[k] - tab[n-k] + float64(k)*lp + float64(n-k)*lq)
+	if p > 0 && p < 1 && n < len(lf) {
+		return math.Exp(lf[n] - lf[k] - lf[n-k] + float64(k)*lp + float64(n-k)*lq)
 	}
 	return dist.BinomialPMF(n, k, p)
 }
@@ -505,11 +570,11 @@ func (dp *majorityDP) binomRow(s, R, floor, amax int, cut float64) (lo, hi int, 
 	var center float64
 	if mode > amax {
 		mode = amax
-		center = binomPMF(R, mode, p, dp.lpc[s], dp.lqc[s])
+		center = binomPMF(lfact(), R, mode, p, dp.lpc[s], dp.lqc[s])
 	} else {
 		c := &dp.center[s*(dp.ell+1)+R]
 		if *c < 0 {
-			*c = binomPMF(R, mode, p, dp.lpc[s], dp.lqc[s])
+			*c = binomPMF(lfact(), R, mode, p, dp.lpc[s], dp.lqc[s])
 		}
 		center = *c
 	}

@@ -247,7 +247,10 @@ func decodeLawInput(kb, ellb, tolb uint8, qb []byte) ([]float64, int, float64) {
 // conditionals, the tie-major DP, the row-centre memo and the
 // sure-loss floors may change no float of it — and dropped to
 // 0 ≤ dropped ≤ the reference's: the floors stop charging mass that
-// can never win, and nothing else may move. It checks the law's own
+// can never win, and nothing else may move. Where a fast path answers
+// (k ≤ 3, point masses), r and dropped must also equal the production
+// rival DP's bit for bit: the reference has its own k = 2 tail and
+// point-mass path, so it cannot pin those. It checks the law's own
 // contract on the same input: Σr + dropped covers all probability,
 // and at enumerable ℓ, against analytic.MajProbs, no r[j] exceeds
 // the exact value and the shortfall summed over opinions stays within
@@ -262,6 +265,17 @@ func FuzzMajorityLaw(f *testing.F) {
 		got, gd := MajorityLaw(q, ell, tol)
 		if !(gd >= 0 && gd <= wd) {
 			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v outside [0, reference %v]", q, ell, tol, gd, wd)
+		}
+		if len(q) <= 3 || slices.Contains(q, 1) {
+			dr, dd := dpLaw(q, ell, tol)
+			if math.Float64bits(gd) != math.Float64bits(dd) {
+				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v, rival DP %v", q, ell, tol, gd, dd)
+			}
+			for j := range dr {
+				if math.Float64bits(got[j]) != math.Float64bits(dr[j]) {
+					t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v, rival DP %v", q, ell, tol, j, got[j], dr[j])
+				}
+			}
 		}
 		sum := 0.0
 		for j := range want {
@@ -301,7 +315,7 @@ func TestBinomPMFBitIdentical(t *testing.T) {
 		lp, lq := math.Log(p), math.Log1p(-p)
 		for _, n := range []int{0, 1, 2, 11, 81, 665, lfactSize - 1, lfactSize, 3 * lfactSize} {
 			for _, k := range []int{-1, 0, 1, n / 3, n / 2, n - 1, n, n + 1} {
-				got, want := binomPMF(n, k, p, lp, lq), dist.BinomialPMF(n, k, p)
+				got, want := binomPMF(lfact(), n, k, p, lp, lq), dist.BinomialPMF(n, k, p)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Errorf("binomPMF(%d, %d, %v) = %v, dist.BinomialPMF %v", n, k, p, got, want)
 				}

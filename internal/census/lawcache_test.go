@@ -168,48 +168,70 @@ func TestQuantBudgetDominatesLawTV(t *testing.T) {
 	}
 }
 
-// TestFastPathsBitIdenticalToDP pins the analytic fast paths bit for
-// bit against the general winner×count DP they replace — the
+// TestFastPathsBitIdenticalToDP pins the fast paths bit for bit, r and
+// dropped alike, against the general winner×count DP they replace — the
 // guarantee that lets `-law-quant 0` engines keep reproducing
-// pre-fast-path trajectories exactly.
+// pre-fast-path trajectories exactly — at every fuzz tolerance.
 func TestFastPathsBitIdenticalToDP(t *testing.T) {
-	type tc struct {
+	third := 1.0 / 3
+	cases := []struct {
 		q   []float64
 		ell int
-	}
-	cases := []tc{
+	}{
 		// k = 2, odd and even ℓ, skewed and near-tied.
 		{[]float64{0.7, 0.3}, 11},
 		{[]float64{0.55, 0.45}, 665},
 		{[]float64{0.5, 0.5}, 16},
 		{[]float64{0.999, 0.001}, 33},
 		{[]float64{1, 0}, 9},
+		// k = 3, uniform: the first rival's window holds entries that tie
+		// it with the winner (a = m), that tie the second rival
+		// (R − a = m), and, at m = ℓ/3, both at once.
+		{[]float64{third, third, third}, 9},
+		{[]float64{third, third, third}, 81},
+		// k = 3 with a zero rival placed first (a pc = 0 row under
+		// winners 1, 2) and last (a pc = 1 row under winners 0, 1), and
+		// with a 10⁻⁶ rival.
+		{[]float64{0, 0.55, 0.45}, 57},
+		{[]float64{0.5, 0.5, 0}, 16},
+		{[]float64{0.6, 0.4 - 1e-6, 1e-6}, 57},
+		// k = 3 at ℓ = 1 and 2, where every row holds at most one ball;
+		// a bisect-k3-like pool at ℓ = 57; skewed and near-tied at
+		// ℓ = 665.
+		{[]float64{0.5, 0.3, 0.2}, 1},
+		{[]float64{0.4, 0.35, 0.25}, 2},
+		{[]float64{0.36, 0.32, 0.32}, 57},
+		{[]float64{0.8, 0.15, 0.05}, 665},
+		{[]float64{0.34, 0.33, 0.33}, 665},
 		// Point masses at k ≥ 3.
 		{[]float64{1, 0, 0}, 5},
 		{[]float64{0, 0, 1, 0}, 81},
 	}
-	for _, tol := range []float64{1e-13, 1e-6, 1e-3} {
+	for _, tol := range lawFuzzTols {
 		for _, c := range cases {
-			var fast, ref lawEvaluator
-			r1, d1 := fast.eval(c.q, c.ell, tol)
-			k := len(c.q)
-			mCut := tol / (4 * float64(c.ell+1))
-			stateCut := tol / (4 * float64(c.ell+1) * float64(k))
-			if cap(ref.r) < k {
-				ref.r = make([]float64, k)
-			}
-			r2, d2 := ref.evalGeneral(c.q, c.ell, mCut, stateCut, ref.r[:k])
-			if d1 != d2 {
+			r1, d1 := MajorityLaw(c.q, c.ell, tol)
+			r2, d2 := dpLaw(c.q, c.ell, tol)
+			if math.Float64bits(d1) != math.Float64bits(d2) {
 				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v (fast) vs %v (DP)", c.q, c.ell, tol, d1, d2)
 			}
 			for j := range r1 {
-				if r1[j] != r2[j] {
+				if math.Float64bits(r1[j]) != math.Float64bits(r2[j]) {
 					t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v (fast) vs %v (DP) — not bit-identical",
 						c.q, c.ell, tol, j, r1[j], r2[j])
 				}
 			}
 		}
 	}
+}
+
+// dpLaw is MajorityLaw through the general rival DP alone, past every
+// fast path: the reference the fast paths are pinned against.
+func dpLaw(q []float64, ell int, tol float64) ([]float64, float64) {
+	var ev lawEvaluator
+	k := len(q)
+	mCut := tol / (4 * float64(ell+1))
+	stateCut := tol / (4 * float64(ell+1) * float64(k))
+	return ev.evalGeneral(q, ell, mCut, stateCut, make([]float64, k))
 }
 
 // TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
