@@ -84,13 +84,14 @@ sweep-smoke:
 obs-smoke:
 	$(GO) test -run TestObsSmoke -count=1 -v ./cmd/sweep
 
-# chaos is the fault-injection gate: deterministic seeded faults
-# (torn checkpoint writes, 1-in-N trial panics, a shard file torn
-# mid-line, dropped law-cache stores) against the sharded sweep
-# workflow, asserting the merged result stays byte-identical to a
-# fault-free single-host run at 1 and 8 workers. Runs under -race and
-# -count=1: the injectors are stateful, so cached results are
-# meaningless.
+# chaos is the failure-path gate: test doubles at the sweep's two
+# seams (a journal writer whose appends tear mid-line, a trial that
+# panics) plus a shard journal torn by hand, against the sharded sweep
+# workflow. It asserts the merged, resumed and compacted journals stay
+# byte-identical to a fault-free single-host run at 1 and 8 workers,
+# that a panic quarantines only its point, and that the breaker and
+# bisect abort. Runs under -race and -count=1: the point is to run the
+# failure paths, never to replay a cached pass.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/sweep ./cmd/sweep
 

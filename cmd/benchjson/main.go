@@ -141,7 +141,7 @@ func derive(rep *Report) {
 	var sweepPointsPerSec, sweepPointsPerSecQuant, lawCacheHitRate float64
 	var stage2Phase, stage2PhaseQuant, lawCacheDropped float64
 	var sweepPointsPerSecObs, nrlintModule float64
-	var sweepPointsPerSecResil, shardMerge float64
+	var shardMerge float64
 	var haveDropped bool
 	for _, b := range rep.Benchmarks {
 		switch {
@@ -149,10 +149,6 @@ func derive(rep *Report) {
 			nrlintModule = b.NsPerOp
 		case strings.Contains(b.Name, "ShardMerge"):
 			shardMerge = b.NsPerOp
-		case strings.Contains(b.Name, "SweepGridPointsResil"):
-			// Same prefix trap as Quant/Obs: must precede plain
-			// SweepGridPoints.
-			sweepPointsPerSecResil = b.Extra["points/s"]
 		case strings.Contains(b.Name, "SweepGridPointsQuant"):
 			// Must precede the plain SweepGridPoints case: the quantized
 			// benchmark's name contains the exact one's as a prefix.
@@ -225,13 +221,6 @@ func derive(rep *Report) {
 	// observability contract (DESIGN.md §2) budgets this at ≤ 2.
 	if sweepPointsPerSec > 0 && sweepPointsPerSecObs > 0 {
 		add("obs_overhead_pct", 100*(sweepPointsPerSec/sweepPointsPerSecObs-1))
-	}
-	// Resilience-seam overhead: the exact grid with a never-firing
-	// fault injector and the default retry policy armed on every site
-	// (BenchmarkSweepGridPointsResil vs the uninstrumented headline),
-	// in percent. The robustness contract budgets this at ≤ 2.
-	if sweepPointsPerSec > 0 && sweepPointsPerSecResil > 0 {
-		add("resilience_overhead_pct", 100*(sweepPointsPerSec/sweepPointsPerSecResil-1))
 	}
 	// Wall-clock seconds to merge four shard journals (512 points)
 	// into the single-host checkpoint — the fixed cost a sharded sweep

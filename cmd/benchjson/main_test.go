@@ -204,41 +204,27 @@ func TestDeriveObsOverhead(t *testing.T) {
 	}
 }
 
-const sampleResil = `
+const sampleShardMerge = `
 goos: linux
-BenchmarkSweepGridPoints 	       2	  20619568 ns/op	       582.0 points/s	   98956 B/op	    1651 allocs/op
-BenchmarkSweepGridPointsResil 	       2	  20768312 ns/op	       577.8 points/s	  100116 B/op	    1688 allocs/op
 BenchmarkShardMerge 	     100	  11711760 ns/op	 1890944 B/op	   12022 allocs/op
 PASS
 `
 
-// TestDeriveResilienceMetrics: the resilience-seam overhead percentage
-// must derive from the Resil/plain sweep pair — the Resil name also
-// contains the plain one's as a prefix — and the shard-merge wall time
-// must land in seconds.
-func TestDeriveResilienceMetrics(t *testing.T) {
-	rep, err := parse(strings.NewReader(sampleResil))
+// TestDeriveShardMergeSecs: the shard-merge wall time must land in
+// seconds, and stay absent without the merge benchmark.
+func TestDeriveShardMergeSecs(t *testing.T) {
+	rep, err := parse(strings.NewReader(sampleShardMerge))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := rep.Derived["sweep_grid_points_per_sec"]; got != 582.0 {
-		t.Fatalf("exact sweep throughput = %v, want 582 (prefix clash with Resil?)", got)
-	}
-	// 100·(582/577.8 − 1) ≈ 0.727%.
-	if got := rep.Derived["resilience_overhead_pct"]; got < 0.71 || got > 0.74 {
-		t.Fatalf("resilience_overhead_pct = %v, want ≈ 0.73", got)
 	}
 	if got := rep.Derived["sweep_shard_merge_secs"]; got < 0.0117 || got > 0.0118 {
 		t.Fatalf("sweep_shard_merge_secs = %v, want ≈ 0.0117", got)
 	}
-	// Without the resilience benchmarks the keys stay absent.
 	rep, err = parse(strings.NewReader(sampleSweep))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"resilience_overhead_pct", "sweep_shard_merge_secs"} {
-		if _, ok := rep.Derived[key]; ok {
-			t.Fatalf("%s derived without the resilience benchmarks present", key)
-		}
+	if _, ok := rep.Derived["sweep_shard_merge_secs"]; ok {
+		t.Fatal("sweep_shard_merge_secs derived without the ShardMerge benchmark present")
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/census"
 	"github.com/gossipkit/noisyrumor/internal/core"
 	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/resilience"
 	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
@@ -165,17 +164,15 @@ func (c commonFlags) validate() error {
 
 // runner builds the sweep runner, sharing one Stage-2 law cache
 // across all workers and points when quantization is on so the CLI
-// can report cache statistics after the run. The retry policy gets a
-// real sleeper — the CLI is a harness, so backoff may block — while
-// jitter stays seeded, so a retried run's results are unchanged.
+// can report cache statistics after the run. Checkpoint I/O retries
+// get a real sleeper — the CLI is a harness, so backoff may block —
+// while jitter stays seeded, so a retried run's results are unchanged.
 func (c commonFlags) runner() (sweep.Runner, *census.LawCache, error) {
 	var cache *census.LawCache
 	if *c.lawQuant > 0 {
 		cache = census.NewLawCache()
 	}
-	retry := resilience.DefaultPolicy()
-	retry.Sleeper = obs.WallSleeper{}
-	r := sweep.Runner{Seed: *c.seed, Workers: *c.workers, Checkpoint: *c.checkpoint, Cache: cache, Retry: retry}
+	r := sweep.Runner{Seed: *c.seed, Workers: *c.workers, Checkpoint: *c.checkpoint, Cache: cache, Sleeper: obs.WallSleeper{}}
 	if *c.shard != "" {
 		sh, err := sweep.ParseShard(*c.shard)
 		if err != nil {
@@ -193,7 +190,7 @@ func printResilienceSummary(out io.Writer, salvaged int, quarantined []int) {
 		fmt.Fprintf(out, "checkpoint: salvaged journal dropped %d damaged point(s), recomputed\n", salvaged)
 	}
 	if len(quarantined) > 0 {
-		fmt.Fprintf(out, "quarantined points %v: classified failures exhausted retries; re-run with the same -checkpoint to recompute them\n", quarantined)
+		fmt.Fprintf(out, "quarantined points %v: a trial panicked (the checkpoint records which); re-run with the same -checkpoint to recompute them\n", quarantined)
 	}
 }
 

@@ -84,7 +84,9 @@ func TestLawCacheDroppedStores(t *testing.T) {
 // Every goroutine's trajectory and budget must be bit-identical to a
 // private-cache reference run (cache state never leaks into results),
 // and the cache's accounting must balance exactly: one lookup per
-// quantized phase, no dropped stores below the cap.
+// quantized phase, no dropped stores below the cap. The same
+// goroutines then share a cache saturated at one entry, whose stores
+// are mostly dropped and served anyway: the bits must not move.
 func TestLawCacheConcurrentStress(t *testing.T) {
 	nm, err := noise.Uniform(3, 0.25)
 	if err != nil {
@@ -127,36 +129,47 @@ func TestLawCacheConcurrentStress(t *testing.T) {
 		refs[i] = ref{tr, b, qb}
 	}
 
-	shared := NewLawCache()
 	const perSet = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, len(countSets)*perSet)
-	for i, cs := range countSets {
-		for g := 0; g < perSet; g++ {
-			wg.Add(1)
-			go func(i int, cs []int64) {
-				defer wg.Done()
-				tr, b, qb := run(cs, shared)
-				if b != refs[i].budget || qb != refs[i].qbudget {
-					errs <- "budget differs from private-cache reference"
-					return
-				}
-				for p := range tr {
-					for j := range tr[p] {
-						if tr[p][j] != refs[i].trace[p][j] {
-							errs <- "trajectory differs from private-cache reference"
-							return
+	hammer := func(shared *LawCache) {
+		var wg sync.WaitGroup
+		errs := make(chan string, len(countSets)*perSet)
+		for i, cs := range countSets {
+			for g := 0; g < perSet; g++ {
+				wg.Add(1)
+				go func(i int, cs []int64) {
+					defer wg.Done()
+					tr, b, qb := run(cs, shared)
+					if b != refs[i].budget || qb != refs[i].qbudget {
+						errs <- "budget differs from private-cache reference"
+						return
+					}
+					for p := range tr {
+						for j := range tr[p] {
+							if tr[p][j] != refs[i].trace[p][j] {
+								errs <- "trajectory differs from private-cache reference"
+								return
+							}
 						}
 					}
-				}
-			}(i, cs)
+				}(i, cs)
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
 		}
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+
+	saturated := NewLawCache()
+	saturated.maxEntries = 1
+	hammer(saturated)
+	if saturated.DroppedStores() == 0 {
+		t.Fatal("a one-entry cache dropped no stores; the saturation path never ran")
 	}
+
+	shared := NewLawCache()
+	hammer(shared)
 	hits, misses := shared.Stats()
 	if total := int64(len(countSets) * perSet * phases); hits+misses != total {
 		t.Fatalf("hits %d + misses %d != %d lookups (one per quantized phase)", hits, misses, total)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/resilience"
 )
 
 // MinLawQuant is the smallest accepted non-zero quantization step η.
@@ -55,24 +54,11 @@ type LawCache struct {
 	hits          obs.Counter
 	misses        obs.Counter
 	droppedStores obs.Counter
-	// inject, when non-nil, fires the "lawcache/store" fault site on
-	// every store (the chaos seam). A store failure is counted as a
-	// dropped store and the entry is returned anyway — results never
-	// depend on whether a store landed, so injected cache faults can
-	// degrade only cost, never bits.
-	inject resilience.FaultInjector
 }
 
 // NewLawCache returns an empty cache ready for sharing.
 func NewLawCache() *LawCache {
 	return &LawCache{entries: make(map[string]lawEntry)}
-}
-
-// SetInjector arms the store fault site (see LawCache.inject). Call
-// before sharing the cache across goroutines; sweep.Runner wires its
-// injector through here.
-func (c *LawCache) SetInjector(fi resilience.FaultInjector) {
-	c.inject = fi
 }
 
 // lookup returns the entry for key, counting the probe as a hit or a
@@ -100,14 +86,6 @@ func (c *LawCache) lookup(key []byte) (lawEntry, bool) {
 // whether the store landed.
 func (c *LawCache) store(key []byte, r []float64, dropped, sens float64) lawEntry {
 	ent := lawEntry{r: append([]float64(nil), r...), dropped: dropped, sens: sens}
-	if c.inject != nil {
-		if err := c.inject.Fire("lawcache/store"); err != nil {
-			// An injected store failure degrades the cache, never the
-			// results: count it like a capacity drop and serve the entry.
-			c.droppedStores.Inc()
-			return ent
-		}
-	}
 	max := c.maxEntries
 	if max <= 0 {
 		max = maxLawCacheEntries

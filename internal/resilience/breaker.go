@@ -3,8 +3,8 @@ package resilience
 import "fmt"
 
 // Breaker trips after a run of consecutive failures, converting a
-// systemic fault (a dead disk, a spec whose every point panics) into
-// one loud abort instead of a full sweep of quarantined points.
+// systemic fault (a bug that panics on every point) into one loud
+// abort instead of a full sweep of quarantined points.
 // Isolated failures reset the streak. Not safe for concurrent use:
 // the breaker guards an orchestrator's serial point loop, not the
 // worker fan-out below it.

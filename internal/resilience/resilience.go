@@ -1,13 +1,11 @@
 // Package resilience is the fault-tolerance layer of the sweep
 // runtime: typed transient-vs-permanent error classification, a
-// bounded retry policy with decorrelated-jitter backoff, a breaker
-// that halts runaway failure streaks, and a deterministic fault
-// injector for chaos tests.
+// bounded retry policy with decorrelated-jitter backoff, and a breaker
+// that halts runaway failure streaks.
 //
 // The package is deterministic-safe by construction, which is what
 // lets //nrlint:deterministic packages (internal/sweep above all)
-// thread it through their hot paths without weakening the
-// bit-identical-results contract:
+// use it without weakening the bit-identical-results contract:
 //
 //   - backoff jitter is drawn from an injected internal/rng stream,
 //     never math/rand, so the delay sequence is a pure function of the
@@ -15,15 +13,12 @@
 //   - waiting flows through an injected obs.Sleeper via obs.Sleep —
 //     never time.Sleep — and a nil Sleeper computes delays without
 //     sleeping at all, so retried runs produce the same results as
-//     patient ones;
-//   - fault decisions (SeededInjector) hash the site name against a
-//     seed, never scheduling order, so a chaos run fires the same
-//     faults at any worker count.
+//     patient ones.
 //
 // Classification contract: an error wrapped by Transient is worth
-// retrying (I/O hiccups, injected soft faults, recovered panics); one
-// wrapped by Permanent is not, but the failing unit of work can be
-// quarantined and the run continued. An error that is neither is a
+// retrying (checkpoint I/O hiccups); one wrapped by Permanent is not,
+// but the failing unit of work can be quarantined and the run
+// continued (a trial that panicked). An error that is neither is a
 // configuration or spec error — callers abort on it immediately, so
 // bad inputs keep surfacing up front instead of being retried into
 // the ground.

@@ -186,73 +186,3 @@ func TestBreaker(t *testing.T) {
 		t.Error("threshold 0 must never trip")
 	}
 }
-
-func TestSeededInjectorRules(t *testing.T) {
-	si := NewSeededInjector(42,
-		Rule{Site: "checkpoint/put/", OneIn: 2, Fails: 2},
-		Rule{Site: "lawcache/", Permanent: true},
-	)
-	if err := Fire(si, "trial/0/0"); err != nil {
-		t.Fatalf("unmatched site fired: %v", err)
-	}
-	// OneIn gating is a pure function of (seed, site): the same site
-	// always decides the same way.
-	var faulted, passed string
-	for k := 0; k < 32 && (faulted == "" || passed == ""); k++ {
-		site := fmt.Sprintf("checkpoint/put/%d", k)
-		if si.Fire(site) != nil {
-			if faulted == "" {
-				faulted = site
-			}
-		} else if passed == "" {
-			passed = site
-		}
-	}
-	if faulted == "" || passed == "" {
-		t.Fatal("OneIn: 2 should fault some sites and pass others")
-	}
-	// The Fails budget: the faulted site fails once more, then passes
-	// forever (its first fault above consumed one of the 2).
-	if err := si.Fire(faulted); err == nil || !IsTransient(err) {
-		t.Fatalf("second fault at %s = %v, want transient", faulted, err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := si.Fire(faulted); err != nil {
-			t.Fatalf("budget of 2 spent, still faulting: %v", err)
-		}
-	}
-	// A fresh injector with the same seed makes identical decisions.
-	si2 := NewSeededInjector(42, Rule{Site: "checkpoint/put/", OneIn: 2, Fails: 2})
-	if si2.Fire(passed) != nil || si2.Fire(faulted) == nil {
-		t.Error("same seed must reproduce the fault set")
-	}
-	if err := si.Fire("lawcache/store"); !IsPermanent(err) {
-		t.Errorf("lawcache rule should fire Permanent, got %v", err)
-	}
-	if si.Fired() < 3 {
-		t.Errorf("Fired() = %d, want >= 3", si.Fired())
-	}
-}
-
-func TestSeededInjectorPanicRule(t *testing.T) {
-	si := NewSeededInjector(1, Rule{Site: "trial/", Panic: true})
-	defer func() {
-		rec := recover()
-		ip, ok := rec.(InjectedPanic)
-		if !ok || ip.Site != "trial/3/1" {
-			t.Errorf("recovered %v, want InjectedPanic at trial/3/1", rec)
-		}
-		// The budget was consumed: the same site now passes.
-		if err := si.Fire("trial/3/1"); err != nil {
-			t.Errorf("post-panic refire = %v, want pass", err)
-		}
-	}()
-	_ = si.Fire("trial/3/1")
-	t.Fatal("Panic rule must panic")
-}
-
-func TestNilInjectorIsNoop(t *testing.T) {
-	if err := Fire(nil, "anything"); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -61,7 +61,7 @@ func RunE21(cfg Config) (*Report, error) {
 		// A distinct seed per matrix family: with a shared seed, cell i
 		// of both heatmaps would draw bit-identical trial streams and
 		// the two tables would be stream-correlated evidence.
-		res, err := sweep.Runner{Seed: cfg.Seed + 2100 + 10*uint64(mi), Workers: cfg.Workers, Obs: cfg.Obs, Inject: cfg.Inject}.RunGrid(g)
+		res, err := sweep.Runner{Seed: cfg.Seed + 2100 + 10*uint64(mi), Workers: cfg.Workers, Obs: cfg.Obs}.RunGrid(g)
 		if err != nil {
 			return nil, fmt.Errorf("E21 %s grid: %w", matrix, err)
 		}
@@ -119,7 +119,7 @@ func RunE21(cfg Config) (*Report, error) {
 		LawQuant:  cfg.LawQuant,
 		CensusTol: cfg.CensusTol,
 	}
-	bres, err := sweep.Runner{Seed: cfg.Seed + 2150, Workers: cfg.Workers, Obs: cfg.Obs, Inject: cfg.Inject}.RunBisect(b)
+	bres, err := sweep.Runner{Seed: cfg.Seed + 2150, Workers: cfg.Workers, Obs: cfg.Obs}.RunBisect(b)
 	if err != nil {
 		return nil, fmt.Errorf("E21 bisection: %w", err)
 	}
@@ -188,7 +188,7 @@ func RunE22(cfg Config) (*Report, error) {
 		Params: fmt.Sprintf("seed=%d, quick=%v; uniform k=%d, ε=%v, rumor-spreading start, n ∈ 10^%d…10^%d, %d trials/point (census engine)",
 			cfg.Seed, cfg.Quick, s.K, eps, 3, pick(cfg, 12, 6), s.Trials),
 	}
-	res, err := sweep.Runner{Seed: rng.ForkSeed(cfg.Seed, 2200), Workers: cfg.Workers, Obs: cfg.Obs, Inject: cfg.Inject}.RunScaling(s)
+	res, err := sweep.Runner{Seed: rng.ForkSeed(cfg.Seed, 2200), Workers: cfg.Workers, Obs: cfg.Obs}.RunScaling(s)
 	if err != nil {
 		return nil, fmt.Errorf("E22: %w", err)
 	}

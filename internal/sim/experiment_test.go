@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/gossipkit/noisyrumor/internal/resilience"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -411,34 +409,6 @@ func TestE21QuickPhaseDiagram(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestE22InjectInvisible: the resilience invisibility rule holds
-// through the experiment harness — an E22 run whose sweep trials fault
-// (and are retried) under a bounded injector renders the exact report
-// of a fault-free run, because every retry replays the trial's own
-// deterministic stream from scratch.
-func TestE22InjectInvisible(t *testing.T) {
-	t.Parallel()
-	e, ok := ByID("E22")
-	if !ok {
-		t.Fatal("E22 not registered")
-	}
-	ref, err := e.Run(Config{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := resilience.NewSeededInjector(42, resilience.Rule{Site: "trial/", OneIn: 4, Fails: 2})
-	faulty, err := e.Run(Config{Seed: 42, Quick: true, Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Fired() == 0 {
-		t.Fatal("injector never fired; the chaos run tested nothing")
-	}
-	if faulty.Text() != ref.Text() {
-		t.Fatalf("faulted E22 report diverged from fault-free run:\n%s\nvs\n%s", faulty.Text(), ref.Text())
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/gossipkit/noisyrumor/internal/resilience"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
@@ -61,12 +60,6 @@ type Config struct {
 	// way results are bit-identical — the sinks are write-only
 	// (DESIGN.md §2) and never feed back into any computation.
 	Obs sweep.Instrumentation
-	// Inject threads a fault injector into the sweeps the experiments
-	// drive (E21/E22), exercising their retry and quarantine paths
-	// under chaos testing. nil (production) is a no-op; with bounded
-	// fault budgets, retried results are bit-identical to a fault-free
-	// run (the resilience invisibility rule, internal/resilience).
-	Inject resilience.FaultInjector
 }
 
 func (c Config) workers() int {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/gossipkit/noisyrumor/internal/census"
 	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/resilience"
 )
 
 // benchGrid is the 12-point threshold-straddling grid of the sweep
@@ -115,31 +114,6 @@ func BenchmarkSweepBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepGridPointsResil is the exact-law grid with the full
-// resilience seam armed but never firing: a no-rule SeededInjector on
-// every fault site plus the default retry policy. benchjson derives
-// resilience_overhead_pct from this and the uninstrumented headline;
-// the robustness contract budgets the always-on seam at ≤ 2%.
-func BenchmarkSweepGridPointsResil(b *testing.B) {
-	g := benchGrid(0)
-	pts, err := g.Points()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := Runner{Seed: uint64(i + 1), Inject: resilience.NewSeededInjector(uint64(i + 1))}
-		res, err := r.RunGrid(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Points) != len(pts) {
-			b.Fatal("short grid")
-		}
-	}
-	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-}
-
 // BenchmarkShardMerge measures `sweep merge` itself: combining four
 // shard journals (512 synthetic bisect evaluations, custody-split by
 // residue) into the single-host journal, the cost benchjson records
@@ -156,7 +130,7 @@ func BenchmarkShardMerge(b *testing.B) {
 	for s := 0; s < shards; s++ {
 		paths[s] = filepath.Join(dir, fmt.Sprintf("shard%d.json", s))
 		ck, err := openCheckpointFile(paths[s], "bisect", 7, DefaultZ,
-			Shard{Index: s, Of: shards}, ckTestSpec{Name: "bench"}, nil)
+			Shard{Index: s, Of: shards}, ckTestSpec{Name: "bench"})
 		if err != nil {
 			b.Fatal(err)
 		}

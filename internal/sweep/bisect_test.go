@@ -121,7 +121,7 @@ func TestBisectCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bisect.json")
-	ck, err := openCheckpointFile(path, "bisect", 21, DefaultZ, Shard{}, b, nil)
+	ck, err := openCheckpointFile(path, "bisect", 21, DefaultZ, Shard{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,33 +2,22 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/gossipkit/noisyrumor/internal/resilience"
+	"github.com/gossipkit/noisyrumor/internal/core"
+	"github.com/gossipkit/noisyrumor/internal/model"
+	"github.com/gossipkit/noisyrumor/internal/noise"
+	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
-// chaosRules is the standard fault storm: flaky checkpoint opens and
-// writes, trial attempts that panic mid-work, and a law cache whose
-// stores fail. Every fault is transient with a bounded per-site
-// budget, so retries and salvage must drive the run to the fault-free
-// result — the chaos suite's core assertion.
-func chaosRules() []resilience.Rule {
-	return []resilience.Rule{
-		{Site: "checkpoint/open", Fails: 1},
-		{Site: "checkpoint/put/", OneIn: 3, Fails: 2},
-		{Site: "trial/", OneIn: 7, Fails: 1, Panic: true},
-		{Site: "lawcache/store", Fails: 3},
-	}
-}
-
-const chaosSeed = 99
-
-// chaosGrid exercises the law cache too, so lawcache/store faults
-// actually fire.
+// chaosGrid runs through the shared law cache too, so the shard merge
+// covers quantized journals.
 func chaosGrid() Grid {
 	g := testGrid()
 	g.LawQuant = 1e-3
@@ -44,12 +33,40 @@ func mustRead(t *testing.T, path string) []byte {
 	return data
 }
 
+// tornWriter is a journal append handle whose first fails writes are
+// torn: each lands half its bytes on disk, then fails, as a full disk
+// or a write cut short would leave the file. Every other call goes to
+// the real handle.
+type tornWriter struct {
+	io.WriteCloser
+	fails int
+}
+
+func (w *tornWriter) Write(p []byte) (int, error) {
+	if w.fails == 0 {
+		return w.WriteCloser.Write(p)
+	}
+	w.fails--
+	n, _ := w.WriteCloser.Write(p[:len(p)/2])
+	return n, errors.New("chaos: torn write")
+}
+
+// panicAt returns a trial function that panics on the (point, trial)
+// pairs fail picks and runs the real trial everywhere else.
+func panicAt(fail func(point, trial int) bool) func(Point, *noise.Matrix, []int64, int, *rng.Rand, *core.CensusRunner, *model.Metrics) trialOut {
+	return func(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut {
+		if fail(p.Index, t) {
+			panic("chaos: trial blew up")
+		}
+		return runTrial(p, nm, counts, t, r, cr, mm)
+	}
+}
+
 // TestChaosShardedGridMergeByteIdentical is the headline robustness
-// contract: two shard runs under a deterministic fault storm — flaky
-// writes, panicking trials, a failing law cache, plus a simulated
-// crash that tears one shard's journal mid-entry — must, after
-// retries, salvage and a strict merge, produce a checkpoint
-// byte-identical to the fault-free single-host run. At 1 and 8 workers.
+// contract: two shard runs, one of whose journals a simulated crash
+// then tears mid-entry, must — after salvage, a re-run and a strict
+// merge — produce a checkpoint byte-identical to the single-host run.
+// At 1 and 8 workers.
 func TestChaosShardedGridMergeByteIdentical(t *testing.T) {
 	g := chaosGrid()
 	dir := t.TempDir()
@@ -65,28 +82,22 @@ func TestChaosShardedGridMergeByteIdentical(t *testing.T) {
 			filepath.Join(dir, "w"+string(rune('0'+workers))+"-shard0.json"),
 			filepath.Join(dir, "w"+string(rune('0'+workers))+"-shard1.json"),
 		}
-		fired := 0
 		for i, path := range shardPaths {
-			inj := resilience.NewSeededInjector(chaosSeed, chaosRules()...)
 			res, err := Runner{
 				Seed: 7, Workers: workers, Checkpoint: path,
-				Shard: Shard{Index: i, Of: 2}, Inject: inj,
+				Shard: Shard{Index: i, Of: 2},
 			}.RunGrid(g)
 			if err != nil {
 				t.Fatalf("workers=%d shard %d: %v", workers, i, err)
 			}
 			if len(res.Quarantined) != 0 {
-				t.Fatalf("workers=%d shard %d quarantined %v; bounded transient faults must retry to success", workers, i, res.Quarantined)
+				t.Fatalf("workers=%d shard %d quarantined %v", workers, i, res.Quarantined)
 			}
-			fired += inj.Fired()
-		}
-		if fired == 0 {
-			t.Fatal("chaos run fired no faults; the storm is miswired")
 		}
 
 		// Crash shard 1 mid-write: tear its final journal line, then
-		// re-run the shard under a fresh same-seed injector. Salvage must
-		// drop exactly the torn point and the re-run recompute it.
+		// re-run the shard. Salvage must drop exactly the torn point and
+		// the re-run recompute it.
 		data := mustRead(t, shardPaths[1])
 		last := bytes.LastIndexByte(data[:len(data)-1], '\n')
 		if err := os.WriteFile(shardPaths[1], data[:last+1+(len(data)-last)/2], 0o644); err != nil {
@@ -94,8 +105,7 @@ func TestChaosShardedGridMergeByteIdentical(t *testing.T) {
 		}
 		res, err := Runner{
 			Seed: 7, Workers: workers, Checkpoint: shardPaths[1],
-			Shard:  Shard{Index: 1, Of: 2},
-			Inject: resilience.NewSeededInjector(chaosSeed, chaosRules()...),
+			Shard: Shard{Index: 1, Of: 2},
 		}.RunGrid(g)
 		if err != nil {
 			t.Fatalf("workers=%d shard 1 re-run: %v", workers, err)
@@ -113,22 +123,60 @@ func TestChaosShardedGridMergeByteIdentical(t *testing.T) {
 			t.Fatalf("workers=%d merge report incomplete: %+v", workers, rep)
 		}
 		if !bytes.Equal(mustRead(t, mergedPath), refBytes) {
-			t.Fatalf("workers=%d: merged shard checkpoints differ from the fault-free single-host journal", workers)
+			t.Fatalf("workers=%d: merged shard checkpoints differ from the single-host journal", workers)
 		}
 
 		// A single host resumes the merged journal seamlessly: every
-		// point is already present, the result matches the fault-free
-		// reference, and the file is untouched.
+		// point is already present, the result matches the reference,
+		// and the file is untouched.
 		resumed, err := Runner{Seed: 7, Workers: workers, Checkpoint: mergedPath}.RunGrid(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(refRes, resumed) {
-			t.Fatalf("workers=%d: resume from merged journal differs from the fault-free reference", workers)
+			t.Fatalf("workers=%d: resume from merged journal differs from the reference", workers)
 		}
 		if !bytes.Equal(mustRead(t, mergedPath), refBytes) {
 			t.Fatalf("workers=%d: resume modified the merged journal", workers)
 		}
+	}
+}
+
+// TestChaosTornAppendCompacts: appends that tear mid-line and fail are
+// retried, and close compacts the torn fragments away, leaving the
+// fault-free journal byte for byte.
+func TestChaosTornAppendCompacts(t *testing.T) {
+	const keys, torn = 6, 3 // torn < resilience.DefaultPolicy().Attempts
+	dir := t.TempDir()
+	ref := openTestCheckpoint(t, filepath.Join(dir, "ref.json"))
+	path := filepath.Join(dir, "torn.json")
+	ck := openTestCheckpoint(t, path)
+	ck.f = &tornWriter{WriteCloser: ck.f, fails: torn}
+	m := NewMetrics(nil)
+	r := Runner{Obs: Instrumentation{Metrics: m}}
+	for k := 0; k < keys; k++ {
+		if err := ref.put(k, testPointResult(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.putCheckpoint(ck, k, testPointResult(k)); err != nil {
+			t.Fatalf("key %d: %v", k, err)
+		}
+	}
+	if err := ref.close(); err != nil {
+		t.Fatal(err)
+	}
+	refBytes := mustRead(t, ref.path)
+	if bytes.Equal(mustRead(t, path), refBytes) {
+		t.Fatal("torn appends left no fragment on disk; the double never tore")
+	}
+	if err := ck.close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, path), refBytes) {
+		t.Fatal("journal after torn appends and close differs from the fault-free bytes")
+	}
+	if got := m.retries.Value(); got != torn {
+		t.Fatalf("sweep_retries_total = %d, want %d (one per torn append)", got, torn)
 	}
 }
 
@@ -151,8 +199,7 @@ func TestChaosScalingShardMerge(t *testing.T) {
 	for i, path := range shardPaths {
 		res, err := Runner{
 			Seed: 3, Workers: 2, Checkpoint: path,
-			Shard:  Shard{Index: i, Of: 2},
-			Inject: resilience.NewSeededInjector(chaosSeed, chaosRules()...),
+			Shard: Shard{Index: i, Of: 2},
 		}.RunScaling(s)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
@@ -219,10 +266,11 @@ func TestChaosBisectShardCustodyMerge(t *testing.T) {
 	}
 }
 
-// TestChaosQuarantineContainsPermanentFault: a permanent fault pinned
-// to one trial quarantines only its point — the run finishes, the
-// record lands in the checkpoint — and a fault-free resume recomputes
-// the point, converging to the reference result and journal bytes.
+// TestChaosQuarantineContainsPermanentFault: a panic in one trial
+// quarantines only its point, at once — the run finishes, the
+// Permanent record lands in the checkpoint — and a resume with a
+// healthy trial recomputes the point, converging to the reference
+// result and journal bytes.
 func TestChaosQuarantineContainsPermanentFault(t *testing.T) {
 	g := testGrid()
 	dir := t.TempDir()
@@ -232,44 +280,53 @@ func TestChaosQuarantineContainsPermanentFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "ck.json")
-	inj := resilience.NewSeededInjector(1, resilience.Rule{Site: trialSite(3, 2), Permanent: true})
-	res, err := Runner{Seed: 7, Workers: 4, Checkpoint: path, Inject: inj}.RunGrid(g)
+	res, err := Runner{
+		Seed: 7, Workers: 4, Checkpoint: path,
+		trial: panicAt(func(p, t int) bool { return p == 3 && t == 2 }),
+	}.RunGrid(g)
 	if err != nil {
-		t.Fatalf("permanent fault on one trial must quarantine, not abort: %v", err)
+		t.Fatalf("a panicking trial must quarantine its point, not abort: %v", err)
 	}
 	if !reflect.DeepEqual(res.Quarantined, []int{3}) {
 		t.Fatalf("quarantined %v, want exactly point 3", res.Quarantined)
 	}
-	pr := res.Points[3]
-	if pr.Error == nil || !pr.Error.Permanent || pr.Error.Trial != 2 {
-		t.Fatalf("quarantine record %+v, want permanent at trial 2", pr.Error)
+	want := PointError{Trial: 2, Permanent: true, Msg: "sweep: point 3 trial 2 panicked: chaos: trial blew up"}
+	if pr := res.Points[3]; pr.Error == nil || *pr.Error != want {
+		t.Fatalf("quarantine record %+v, want %+v", pr.Error, want)
 	}
-	if pr.Trials != 0 || pr.Successes != 0 {
+	if pr := res.Points[3]; pr.Trials != 0 || pr.Successes != 0 {
 		t.Fatalf("quarantined point carries statistics %+v; they must be zeroed", pr)
 	}
-	// Fault-free resume: the quarantine record reads as a miss, point 3
-	// is recomputed, and both result and journal converge to reference.
+	// Healthy resume: the quarantine record reads as a miss, point 3 is
+	// recomputed, and both result and journal converge to reference.
 	resumed, err := Runner{Seed: 7, Workers: 4, Checkpoint: path}.RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(refRes, resumed) {
-		t.Fatal("resume after quarantine differs from the fault-free reference")
+		t.Fatal("resume after quarantine differs from the reference")
 	}
 	if !bytes.Equal(mustRead(t, path), mustRead(t, refPath)) {
 		t.Fatal("journal after quarantine resume differs from reference bytes")
 	}
 }
 
-// TestChaosBreakerAbortsSystemicFailure: when every point fails, the
-// breaker aborts the run after BreakAfter consecutive quarantines
-// instead of quarantining the whole sweep.
+// TestChaosBreakerAbortsSystemicFailure: when every trial panics, the
+// breaker aborts the run after breakAfter consecutive quarantines —
+// the last of testGrid's points — instead of quarantining the whole
+// sweep.
 func TestChaosBreakerAbortsSystemicFailure(t *testing.T) {
 	g := testGrid()
-	inj := resilience.NewSeededInjector(1, resilience.Rule{Site: "trial/", Permanent: true, Fails: 1 << 20})
-	_, err := Runner{Seed: 7, Workers: 2, BreakAfter: 3, Inject: inj}.RunGrid(g)
-	if err == nil || !strings.Contains(err.Error(), "breaker") {
-		t.Fatalf("systemic failure returned %v, want a breaker abort", err)
+	pts, err := g.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != breakAfter {
+		t.Fatalf("testGrid has %d points; the breaker test needs exactly breakAfter = %d", len(pts), breakAfter)
+	}
+	_, err = Runner{Seed: 7, Workers: 2, trial: panicAt(func(int, int) bool { return true })}.RunGrid(g)
+	if err == nil || !strings.Contains(err.Error(), "breaker") || !strings.Contains(err.Error(), "point 7") {
+		t.Fatalf("systemic failure returned %v, want a breaker abort at point 7", err)
 	}
 }
 
@@ -278,8 +335,10 @@ func TestChaosBreakerAbortsSystemicFailure(t *testing.T) {
 // persisted for the re-run.
 func TestChaosBisectQuarantineAborts(t *testing.T) {
 	b := testBisect(40)
-	inj := resilience.NewSeededInjector(1, resilience.Rule{Site: trialSite(0, 0), Permanent: true})
-	_, err := Runner{Seed: 21, Workers: 2, Inject: inj}.RunBisect(b)
+	_, err := Runner{
+		Seed: 21, Workers: 2,
+		trial: panicAt(func(p, t int) bool { return p == 0 && t == 0 }),
+	}.RunBisect(b)
 	if err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("quarantined bisect eval returned %v, want an abort naming the quarantine", err)
 	}

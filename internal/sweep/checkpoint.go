@@ -3,11 +3,14 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"io/fs"
 	"os"
 	"sort"
-	"strconv"
+	"syscall"
 
 	"github.com/gossipkit/noisyrumor/internal/resilience"
 	"github.com/gossipkit/noisyrumor/internal/rng"
@@ -61,9 +64,10 @@ func entryCRC(result []byte) string {
 type checkpoint struct {
 	path   string
 	header checkpointHeader
-	inject resilience.FaultInjector
 
-	f       *os.File // append handle; nil once closed
+	// f is the append handle (an *os.File; tests substitute doubles
+	// that tear writes); nil once closed.
+	f       io.WriteCloser
 	entries map[int]checkpointEntry
 	lastKey int // largest key appended so far (-1 when empty)
 	// ordered reports that the on-disk journal is canonical: strictly
@@ -96,7 +100,7 @@ func readCheckpointFile(path string) (*checkpointFile, error) {
 		if os.IsNotExist(err) {
 			return nil, err
 		}
-		return nil, resilience.Transient(fmt.Errorf("sweep: read checkpoint: %w", err))
+		return nil, classifyOpen(fmt.Errorf("sweep: read checkpoint: %w", err))
 	}
 	nl := bytes.IndexByte(data, '\n')
 	headerLine := data
@@ -160,6 +164,18 @@ func sniffSchema(data []byte) string {
 	return ""
 }
 
+// classifyOpen classifies a checkpoint open, read or create error:
+// Transient, unless no retry can fix it — a missing directory, a
+// denied permission, a path that names a directory or runs through a
+// file — which stays unclassified so the run aborts at once.
+func classifyOpen(err error) error {
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrPermission) ||
+		errors.Is(err, syscall.EISDIR) || errors.Is(err, syscall.ENOTDIR) {
+		return err
+	}
+	return resilience.Transient(err)
+}
+
 // openCheckpointFile loads or initializes the journal at path for a
 // sweep identified by (mode, seed, z, shard, spec) — z is the
 // effective Wilson quantile, part of the identity because stored
@@ -168,12 +184,9 @@ func sniffSchema(data []byte) string {
 // salvaged (intact entries kept, damaged ones dropped and counted for
 // recompute) and normalized back to canonical bytes. An empty path
 // disables checkpointing.
-func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, spec any, fi resilience.FaultInjector) (*checkpoint, error) {
+func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, spec any) (*checkpoint, error) {
 	if path == "" {
 		return nil, nil
-	}
-	if err := resilience.Fire(fi, "checkpoint/open"); err != nil {
-		return nil, err
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
@@ -189,7 +202,6 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 			Shard:  shard.ptr(),
 			Spec:   specJSON,
 		},
-		inject:  fi,
 		entries: map[int]checkpointEntry{},
 		lastKey: -1,
 		ordered: true,
@@ -198,7 +210,7 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 	if os.IsNotExist(err) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, resilience.Transient(fmt.Errorf("sweep: create checkpoint: %w", err))
+			return nil, classifyOpen(fmt.Errorf("sweep: create checkpoint: %w", err))
 		}
 		if _, err := f.Write(ck.headerLine()); err != nil {
 			_ = f.Close()
@@ -233,24 +245,24 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, resilience.Transient(fmt.Errorf("sweep: reopen checkpoint: %w", err))
+		return nil, classifyOpen(fmt.Errorf("sweep: reopen checkpoint: %w", err))
 	}
 	ck.f = f
 	return ck, nil
 }
 
 // openJitterSalt and putJitterSalt key the backoff-jitter streams of
-// checkpoint I/O retries off the run seed, disjoint from the trial
-// forks (see retryJitterSalt).
+// checkpoint I/O retries off the run seed, far outside any plausible
+// point index or trial count.
 const (
 	openJitterSalt = 0x4f50454e // "OPEN"
 	putJitterSalt  = 0x505554   // "PUT"
 )
 
 // openCheckpoint opens the Runner's journal (if configured) for one
-// sweep mode under the retry policy — a transiently failing open
-// (fault injection, I/O blips) is retried with deterministic jitter —
-// and records any salvage degradation.
+// sweep mode under the retry policy — a transiently failing open (an
+// I/O blip) is retried with deterministic jitter — and records any
+// salvage degradation.
 func (r Runner) openCheckpoint(mode string, spec any) (*checkpoint, error) {
 	if r.Checkpoint == "" {
 		return nil, nil
@@ -260,7 +272,7 @@ func (r Runner) openCheckpoint(mode string, spec any) (*checkpoint, error) {
 	var ck *checkpoint
 	err := pol.Do(jr, func(int) error {
 		var err error
-		ck, err = openCheckpointFile(r.Checkpoint, mode, r.Seed, r.z(), r.Shard, spec, r.Inject)
+		ck, err = openCheckpointFile(r.Checkpoint, mode, r.Seed, r.z(), r.Shard, spec)
 		return err
 	})
 	if err != nil {
@@ -363,11 +375,6 @@ func (c *checkpoint) put(key int, res PointResult) error {
 	}
 	if s := c.header.Shard; s != nil && !s.Owns(key) {
 		return nil
-	}
-	if c.inject != nil {
-		if err := c.inject.Fire("checkpoint/put/" + strconv.Itoa(key)); err != nil {
-			return err
-		}
 	}
 	data, err := json.Marshal(res)
 	if err != nil {

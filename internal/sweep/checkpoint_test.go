@@ -15,7 +15,7 @@ type ckTestSpec struct {
 
 func openTestCheckpoint(t *testing.T, path string) *checkpoint {
 	t.Helper()
-	ck, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{Name: "x"}, nil)
+	ck, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{Name: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCheckpointCorruptHeaderError(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"noisyrumor-sweep-checkp`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{}, nil)
+	_, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{})
 	if err == nil {
 		t.Fatal("truncated-mid-JSON header accepted")
 	}
@@ -143,6 +143,27 @@ func TestCheckpointCorruptHeaderError(t *testing.T) {
 	for _, want := range []string{path, "byte 0", "delete"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("header error %q should mention %q", msg, want)
+		}
+	}
+}
+
+// TestCheckpointUnfixablePathFailsAtOnce: a checkpoint path whose
+// directory is missing, or that names a directory, cannot open on any
+// attempt. The run must abort at once with an error naming the path,
+// not spend the retry budget (wall-clock backoff in cmd/sweep) on it.
+func TestCheckpointUnfixablePathFailsAtOnce(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, path string }{
+		{"missing directory", filepath.Join(dir, "missing", "ck.json")},
+		{"is a directory", dir},
+	} {
+		m := NewMetrics(nil)
+		_, err := Runner{Seed: 7, Checkpoint: tc.path, Obs: Instrumentation{Metrics: m}}.RunGrid(testGrid())
+		if err == nil || !strings.Contains(err.Error(), tc.path) {
+			t.Fatalf("%s: error %v, want one naming %s", tc.name, err, tc.path)
+		}
+		if got := m.retries.Value(); got != 0 {
+			t.Fatalf("%s: %d retries (%v), want an immediate abort", tc.name, got, err)
 		}
 	}
 }
@@ -155,7 +176,7 @@ func TestCheckpointV1Rejected(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{}, nil)
+	_, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{})
 	if err == nil || !strings.Contains(err.Error(), "v1") {
 		t.Fatalf("v1 checkpoint error %v, want a targeted v1 message", err)
 	}
@@ -209,7 +230,7 @@ func fileSize(t *testing.T, path string) int64 {
 // unsharded run must refuse both.
 func TestCheckpointShardIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	ck, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{Index: 0, Of: 2}, ckTestSpec{Name: "x"}, nil)
+	ck, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{Index: 0, Of: 2}, ckTestSpec{Name: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +240,10 @@ func TestCheckpointShardIdentity(t *testing.T) {
 	if err := ck.close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{Index: 1, Of: 2}, ckTestSpec{Name: "x"}, nil); err == nil {
+	if _, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{Index: 1, Of: 2}, ckTestSpec{Name: "x"}); err == nil {
 		t.Fatal("shard 1/2 resumed shard 0/2's journal")
 	}
-	if _, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{Name: "x"}, nil); err == nil {
+	if _, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{Name: "x"}); err == nil {
 		t.Fatal("unsharded run resumed a shard journal")
 	}
 }
@@ -232,7 +253,7 @@ func TestCheckpointShardIdentity(t *testing.T) {
 // only its residues).
 func TestCheckpointShardCustody(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	ck, err := openCheckpointFile(path, "bisect", 7, DefaultZ, Shard{Index: 1, Of: 2}, ckTestSpec{}, nil)
+	ck, err := openCheckpointFile(path, "bisect", 7, DefaultZ, Shard{Index: 1, Of: 2}, ckTestSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +265,7 @@ func TestCheckpointShardCustody(t *testing.T) {
 	if err := ck.close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := openCheckpointFile(path, "bisect", 7, DefaultZ, Shard{Index: 1, Of: 2}, ckTestSpec{}, nil)
+	re, err := openCheckpointFile(path, "bisect", 7, DefaultZ, Shard{Index: 1, Of: 2}, ckTestSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,10 +118,10 @@ func (g Grid) Points() ([]Point, error) {
 // Runner.Checkpoint set, each completed point is persisted and a
 // compatible existing file resumes where it left off; the final result
 // is bit-identical either way (every point is a pure function of the
-// spec, the seed and its index). A point whose trials keep failing
-// with classified errors is quarantined — recorded and skipped, the
-// run continues — unless the quarantine streak trips the breaker
-// (Runner.BreakAfter), which aborts a systemically failing run.
+// spec, the seed and its index). A point with a panicking trial is
+// quarantined — recorded and skipped, the run continues — unless
+// breakAfter consecutive quarantines trip the breaker, which aborts a
+// systemically failing run.
 func (r Runner) RunGrid(g Grid) (*GridResult, error) {
 	if err := r.Shard.Validate(); err != nil {
 		return nil, err
@@ -137,7 +137,7 @@ func (r Runner) RunGrid(g Grid) (*GridResult, error) {
 	defer ck.abandon()
 	res := &GridResult{Shard: r.Shard.ptr(), Salvaged: ck.salvagedCount()}
 	runners := r.newTrialRunners(r.workers())
-	breaker := resilience.NewBreaker(r.breakAfter())
+	breaker := resilience.NewBreaker(breakAfter)
 	for _, p := range pts {
 		if !r.Shard.Owns(p.Index) {
 			continue

@@ -55,9 +55,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		quantMass: reg.Gauge("sweep_quant_budget",
 			"Quantization leg of the accumulated budget."),
 		retries: reg.Counter("sweep_retries_total",
-			"Retry attempts after transient failures (trials and checkpoint I/O)."),
+			"Retry attempts after transient checkpoint I/O failures."),
 		quarantined: reg.Counter("sweep_points_quarantined",
-			"Points quarantined after a classified failure exhausted its retries."),
+			"Points quarantined because a trial panicked."),
 		backoff: reg.Histogram("resilience_backoff_seconds",
 			"Backoff delays scheduled between retry attempts.", obs.LogBuckets(1e-4, 4, 10)),
 		salvagedPts: reg.Counter("checkpoint_salvaged_points",

@@ -84,7 +84,7 @@ func (r Runner) RunScaling(s Scaling) (*ScalingResult, error) {
 	defer ck.abandon()
 	res := &ScalingResult{Shard: r.Shard.ptr(), Salvaged: ck.salvagedCount()}
 	runners := r.newTrialRunners(r.workers())
-	breaker := resilience.NewBreaker(r.breakAfter())
+	breaker := resilience.NewBreaker(breakAfter)
 	var x, y []float64
 	for i, n := range s.Ns {
 		if !r.Shard.Owns(i) {

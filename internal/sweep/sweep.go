@@ -131,13 +131,12 @@ type PointResult struct {
 	// per-phase law-level certificates over the point's trials (zero
 	// for exact runs).
 	QuantBudget float64 `json:"quant_budget,omitempty"`
-	// Error, when non-nil, marks the point quarantined: a trial failed
-	// with a classified (transient-after-retries or permanent) error or
+	// Error, when non-nil, marks the point quarantined: a trial
 	// panicked, the statistics above are zeroed, and the run went on
 	// without it. Quarantine records persist in the checkpoint for
 	// accounting, but a resume recomputes them (checkpoint.get treats
-	// them as misses). Unclassified trial errors — bad specs, bad knob
-	// values — never quarantine: they abort the run up front as always.
+	// them as misses). Trial errors — bad specs, bad knob values —
+	// never quarantine: they abort the run up front as always.
 	Error *PointError `json:"error,omitempty"`
 }
 
@@ -182,59 +181,32 @@ type Runner struct {
 	// checkpoint identity, and Merge recombines shard checkpoints into
 	// the byte-identical single-host journal.
 	Shard Shard
-	// Inject, when non-nil, fires deterministic faults at the named
-	// sites — checkpoint/open, checkpoint/put/<key>, trial/<point>/<t>,
-	// and (via the law cache, whose injector this runner wires up)
-	// lawcache/store. The chaos-testing seam; nil is the production
-	// no-op and costs one branch per site.
-	Inject resilience.FaultInjector
-	// Retry is the backoff policy around checkpoint I/O and transient
-	// trial failures. The zero value means resilience.DefaultPolicy()
-	// with Retry.Sleeper carried over (harnesses inject
-	// obs.WallSleeper{}; tests leave it nil so retries never block).
-	// Backoff jitter is drawn from forks of Seed, so retried runs stay
-	// bit-identical.
-	Retry resilience.Policy
-	// BreakAfter trips the run-level breaker after this many
-	// consecutive quarantined points (0 = DefaultBreakAfter, negative =
-	// never): a systemic fault aborts loudly instead of quarantining
-	// the whole sweep.
-	BreakAfter int
+	// Sleeper waits out the backoff between checkpoint I/O retries
+	// (resilience.DefaultPolicy). nil computes the delays without
+	// waiting — the test configuration; harnesses inject
+	// obs.WallSleeper{}. Backoff jitter is drawn from forks of Seed, so
+	// retried runs stay bit-identical.
+	Sleeper obs.Sleeper
+
+	// trial runs one trial; nil means runTrial. Tests substitute a
+	// panicking trial to reach quarantine.
+	trial func(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut
 }
 
-// DefaultBreakAfter is the default quarantine streak that aborts a
-// run.
-const DefaultBreakAfter = 8
+// breakAfter is the quarantine streak that trips the run-level
+// breaker: a systemic fault (every point panicking) aborts loudly
+// instead of quarantining the whole sweep.
+const breakAfter = 8
 
-func (r Runner) breakAfter() int {
-	switch {
-	case r.BreakAfter > 0:
-		return r.BreakAfter
-	case r.BreakAfter < 0:
-		return 0 // never trips
-	default:
-		return DefaultBreakAfter
-	}
-}
-
-// retryPolicy is the effective retry policy: Runner.Retry, defaulted
-// when zero, with the retry/backoff metrics chained onto OnBackoff.
+// retryPolicy is the checkpoint I/O retry policy: DefaultPolicy with
+// the runner's sleeper and the retry/backoff metrics on OnBackoff.
 func (r Runner) retryPolicy() resilience.Policy {
-	p := r.Retry
-	if p.Attempts == 0 {
-		d := resilience.DefaultPolicy()
-		d.Sleeper = p.Sleeper
-		d.OnBackoff = p.OnBackoff
-		p = d
-	}
+	p := resilience.DefaultPolicy()
+	p.Sleeper = r.Sleeper
 	if m := r.Obs.Metrics; m != nil {
-		inner := p.OnBackoff
-		p.OnBackoff = func(attempt int, delay time.Duration) {
+		p.OnBackoff = func(_ int, delay time.Duration) {
 			m.retries.Inc()
 			m.backoff.Observe(delay.Seconds())
-			if inner != nil {
-				inner(attempt, delay)
-			}
 		}
 	}
 	return p
@@ -279,9 +251,6 @@ func (r Runner) newTrialRunners(workers int) []*core.CensusRunner {
 	cache := r.Cache
 	if cache == nil {
 		cache = census.NewLawCache()
-	}
-	if r.Inject != nil {
-		cache.SetInjector(r.Inject)
 	}
 	out := make([]*core.CensusRunner, workers)
 	for i := range out {
@@ -347,12 +316,13 @@ type trialOut struct {
 	err     error
 }
 
-// runTrial executes one protocol run of the point on r's stream.
-// counts is the point's initial census (shared read-only across the
-// point's trials), cr the executing worker's reusable census runner,
-// and mm the optional model metric bundle bound to per-node engines
+// runTrial executes trial t of the point on r's stream, which already
+// encodes t (only Runner.trial substitutes read the index). counts is
+// the point's initial census (shared read-only across the point's
+// trials), cr the executing worker's reusable census runner, and mm
+// the optional model metric bundle bound to per-node engines
 // (write-only; nil disables it).
-func runTrial(p Point, nm *noise.Matrix, counts []int64, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut {
+func runTrial(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut {
 	if p.Engine == "" || p.Engine == "census" {
 		res, err := cr.Run(p.N, nm, p.Params, counts, 0, false, r)
 		if err != nil {
@@ -418,77 +388,41 @@ func runPerNodeTrial(p Point, nm *noise.Matrix, counts []int64, r *rng.Rand, mm 
 	return trialOut{correct: res.Correct, rounds: rounds}
 }
 
-// retryJitterSalt offsets the backoff-jitter stream forks away from
-// the trial-index forks of the same point seed (trial indices are
-// small; these salts are far outside any plausible trial count).
-const retryJitterSalt = 0x5245545259 // "RETRY"
+// resilientTrial runs trial t of point p on its stream
+// rng.New(ForkSeed(pointSeed, t)) with panic containment. A panic is
+// Permanent and quarantines the point at once: a retry would replay
+// the same stream on a reset engine and panic the same way.
+func (r Runner) resilientTrial(p Point, nm *noise.Matrix, counts []int64, t int, pointSeed uint64,
+	cr *core.CensusRunner) (out trialOut) {
 
-// trialSite names a trial's fault-injection site.
-func trialSite(point, trial int) string {
-	return "trial/" + strconv.Itoa(point) + "/" + strconv.Itoa(trial)
+	defer func() {
+		if rec := recover(); rec != nil {
+			out = trialOut{err: resilience.Permanent(fmt.Errorf("sweep: point %d trial %d panicked: %v", p.Index, t, rec))}
+		}
+	}()
+	run := r.trial
+	if run == nil {
+		run = runTrial
+	}
+	return run(p, nm, counts, t, rng.New(rng.ForkSeed(pointSeed, uint64(t))), cr, r.Obs.Model)
 }
 
-// resilientTrial runs one trial with panic containment, fault
-// injection, and transient-failure retries. Every attempt replays the
-// identical stream rng.New(ForkSeed(pointSeed, t)) from scratch, so a
-// trial that succeeds on retry is bit-identical to one that never
-// failed — resilience is invisible in results, only in metrics. The
-// fast path (no fault, no panic — i.e. production) costs one deferred
-// recover and one nil check over the bare call; the jitter stream is
-// only forked once a retry is actually needed.
-func (r Runner) resilientTrial(pol resilience.Policy, pointIndex, t int, pointSeed uint64,
-	cr *core.CensusRunner, fn func(trial int, r *rng.Rand, cr *core.CensusRunner) trialOut) trialOut {
-
-	attempt := func() (out trialOut) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				out = trialOut{err: resilience.Transient(fmt.Errorf("sweep: point %d trial %d panicked: %v", pointIndex, t, rec))}
-			}
-		}()
-		if r.Inject != nil {
-			if err := r.Inject.Fire(trialSite(pointIndex, t)); err != nil {
-				return trialOut{err: err}
-			}
-		}
-		return fn(t, rng.New(rng.ForkSeed(pointSeed, uint64(t))), cr)
-	}
-
-	out := attempt()
-	if out.err == nil || !resilience.IsTransient(out.err) {
-		return out // success, or permanent/unclassified: not retryable
-	}
-	jr := rng.New(rng.ForkSeed(pointSeed, retryJitterSalt+uint64(t)))
-	err := pol.Do(jr, func(a int) error {
-		if a == 0 {
-			return out.err // the first attempt already ran
-		}
-		out = attempt()
-		return out.err
-	})
-	if err != nil {
-		out.err = err
-	}
-	return out
-}
-
-// parallelTrials runs trials start..start+count−1 of a point over a
-// bounded worker pool, in trial order. Trial t's stream is
-// ForkSeed(pointSeed, t) — a pure function of position, so any worker
-// count yields identical results. Worker w executes its trials
-// through runners[w], whose engine is reused (and reset) per trial;
-// which worker runs which trial does not affect results — the
-// per-worker trial and busy-time telemetry records the (scheduling-
-// dependent) split without ever feeding back into it. Each trial runs
-// under resilientTrial: panics are contained and transient failures
-// retried with per-trial deterministic jitter.
-func (r Runner) parallelTrials(runners []*core.CensusRunner, pointIndex, start, count int, pointSeed uint64,
-	fn func(trial int, r *rng.Rand, cr *core.CensusRunner) trialOut) []trialOut {
+// parallelTrials runs trials start..start+count−1 of point p (channel
+// nm, initial census counts) over a bounded worker pool, in trial
+// order. Trial t's stream is ForkSeed(pointSeed, t) — a pure function
+// of position, so any worker count yields identical results. Worker w
+// executes its trials through runners[w], whose engine is reused (and
+// reset) per trial; which worker runs which trial does not affect
+// results — the per-worker trial and busy-time telemetry records the
+// (scheduling-dependent) split without ever feeding back into it.
+// Each trial runs under resilientTrial, which contains panics.
+func (r Runner) parallelTrials(runners []*core.CensusRunner, p Point, nm *noise.Matrix, counts []int64,
+	start, count int, pointSeed uint64) []trialOut {
 
 	out := make([]trialOut, count)
 	if count == 0 {
 		return out
 	}
-	pol := r.retryPolicy()
 	workers := len(runners)
 	if workers > count {
 		workers = count
@@ -512,7 +446,7 @@ func (r Runner) parallelTrials(runners []*core.CensusRunner, pointIndex, start, 
 			clk := r.Obs.Clock
 			for t := range next {
 				t0 := obs.Now(clk)
-				out[t-start] = r.resilientTrial(pol, pointIndex, t, pointSeed, cr, fn)
+				out[t-start] = r.resilientTrial(p, nm, counts, t, pointSeed, cr)
 				if m != nil {
 					m.trials.Inc()
 					workerTrials.Inc()
@@ -547,10 +481,7 @@ func (r Runner) evalPoint(p Point, runners []*core.CensusRunner) (PointResult, e
 		return PointResult{}, fmt.Errorf("sweep: point %d: %w", p.Index, err)
 	}
 	pointSeed := rng.ForkSeed(r.Seed, uint64(p.Index))
-	outs := r.parallelTrials(runners, p.Index, 0, p.Trials, pointSeed, func(t int, tr *rng.Rand, cr *core.CensusRunner) trialOut {
-		return runTrial(p, nm, counts, tr, cr, r.Obs.Model)
-	})
-	return r.aggregate(p, outs)
+	return r.aggregate(p, r.parallelTrials(runners, p, nm, counts, 0, p.Trials, pointSeed))
 }
 
 // evalPointAdaptive evaluates a point in batches, stopping early once
@@ -580,10 +511,7 @@ func (r Runner) evalPointAdaptive(p Point, batch int, runners []*core.CensusRunn
 		if rem := p.Trials - len(outs); count > rem {
 			count = rem
 		}
-		chunk := r.parallelTrials(runners, p.Index, len(outs), count, pointSeed, func(t int, tr *rng.Rand, cr *core.CensusRunner) trialOut {
-			return runTrial(p, nm, counts, tr, cr, r.Obs.Model)
-		})
-		outs = append(outs, chunk...)
+		outs = append(outs, r.parallelTrials(runners, p, nm, counts, len(outs), count, pointSeed)...)
 		res, err := r.aggregate(p, outs)
 		if err != nil {
 			return PointResult{}, err
@@ -601,12 +529,11 @@ func (r Runner) evalPointAdaptive(p Point, batch int, runners []*core.CensusRunn
 	return r.aggregate(p, outs)
 }
 
-// aggregate folds trial outcomes into a PointResult. A trial that
-// still carries a classified error after retries (an injected fault,
-// a contained panic, failed I/O) quarantines the whole point: the
-// statistics are zeroed, Error records the failure, and the caller's
-// run continues without it. Unclassified errors are spec/config
-// mistakes and abort the run as always.
+// aggregate folds trial outcomes into a PointResult. A trial carrying
+// a classified error (a contained panic) quarantines the whole point:
+// the statistics are zeroed, Error records the failure, and the
+// caller's run continues without it. Unclassified errors are
+// spec/config mistakes and abort the run as always.
 func (r Runner) aggregate(p Point, outs []trialOut) (PointResult, error) {
 	res := PointResult{Point: p, Trials: len(outs)}
 	sumRounds := 0.0
