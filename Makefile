@@ -60,9 +60,10 @@ race:
 	$(GO) test -race -shuffle=on -timeout 30m ./...
 
 # fuzz runs the majority-law fuzz target for FUZZTIME: FuzzMajorityLaw
-# pins MajorityLaw's r bit for bit to the frozen reference evaluator,
-# bounds its dropped mass, and checks it against exhaustive enumeration
-# at small ℓ. Go's native fuzzer needs no download. A failing input is
+# pins MajorityLaw to the frozen rival DP (bit for bit at k ≤ 3 and for
+# point masses, within the two dropped masses at k ≥ 4), bounds its
+# dropped mass, checks that relabelling opinions relabels the law, and
+# checks it against exhaustive enumeration at small ℓ. Go's native fuzzer needs no download. A failing input is
 # written under internal/census/testdata/fuzz/FuzzMajorityLaw/; rename
 # it to say what it covers and commit it, so plain `go test` replays it.
 FUZZTIME ?= 30s

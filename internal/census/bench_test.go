@@ -89,26 +89,35 @@ func BenchmarkCensusPhaseHuge(b *testing.B) {
 // (k, ℓ) grid — the law-level view that makes law regressions visible
 // independently of phase-level numbers (which mix in the noise split
 // and the transition draws). k = 2 exercises the analytic binomial
-// fast path; larger k the rival DP with its truncation windows.
+// fast path, k = 3 the one-pass rival row, larger k the Poissonized
+// products with their truncation windows. The k=5/ell=443/skew row is
+// the shape of grid-k35-exact's ℓ′ = 443 evaluations (q₀ = 0.7, the
+// rest equal), where the cap-free products carry every winning count.
 func BenchmarkMajorityLaw(b *testing.B) {
+	run := func(name string, q []float64, ell int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, _ := census.MajorityLaw(q, ell, census.DefaultTolerance)
+				if r[0] <= r[1] {
+					b.Fatal("majority law lost the plurality")
+				}
+			}
+		})
+	}
+	// spread puts q0 on opinion 0 and splits the rest evenly.
+	spread := func(k int, q0 float64) []float64 {
+		q := make([]float64, k)
+		q[0] = q0
+		for j := 1; j < k; j++ {
+			q[j] = (1 - q0) / float64(k-1)
+		}
+		return q
+	}
 	for _, k := range []int{2, 3, 5, 8} {
 		for _, ell := range []int{11, 33, 81, 665} {
-			q := make([]float64, k)
-			rest := 1.0
-			q[0] = 1.0/float64(k) + 0.05
-			rest -= q[0]
-			for j := 1; j < k; j++ {
-				q[j] = rest / float64(k-1)
-			}
-			b.Run(fmt.Sprintf("k=%d/ell=%d", k, ell), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					r, _ := census.MajorityLaw(q, ell, census.DefaultTolerance)
-					if r[0] <= r[1] {
-						b.Fatal("majority law lost the plurality")
-					}
-				}
-			})
+			run(fmt.Sprintf("k=%d/ell=%d", k, ell), spread(k, 1.0/float64(k)+0.05), ell)
 		}
 	}
+	run("k=5/ell=443/skew", spread(5, 0.7), 443)
 }

@@ -93,6 +93,100 @@ func TestMajorityLawTruncationConservative(t *testing.T) {
 	}
 }
 
+// censusPools are the k ≥ 4 pool shapes of the census-scale law tests:
+// skewed (q₀ = 0.7, the rest equal, whose winning counts all lie
+// above the rivals' windows), near-consensus (q₀ = 0.97), a near-tie
+// (weights 1 + 0.02(k−j)) and uniform.
+func censusPools(k int) [][]float64 {
+	spread := func(q0 float64) []float64 {
+		q := make([]float64, k)
+		q[0] = q0
+		for j := 1; j < k; j++ {
+			q[j] = (1 - q0) / float64(k-1)
+		}
+		return q
+	}
+	near := make([]float64, k)
+	sum := 0.0
+	for j := range near {
+		near[j] = 1 + 0.02*float64(k-j)
+		sum += near[j]
+	}
+	for j := range near {
+		near[j] /= sum
+	}
+	return [][]float64{spread(0.7), spread(0.97), near, spread(1 / float64(k))}
+}
+
+// TestPoissonLawMatchesDPAtCensusScale holds the k ≥ 4 path to the
+// rival DP at the subsample sizes a census sweep reaches (ℓ′ = 443
+// carries most of grid-k35-exact's law time; FuzzMajorityLaw's decoder
+// stops at ℓ = 128): |r − r_DP|₁ ≤ dropped + dropped_DP + 10⁻¹² and
+// 0 ≤ dropped ≤ tol at every fuzz tolerance.
+func TestPoissonLawMatchesDPAtCensusScale(t *testing.T) {
+	for _, k := range []int{4, 5, 8} {
+		for _, ell := range []int{443, 665} {
+			for _, q := range censusPools(k) {
+				for _, tol := range lawFuzzTols {
+					got, gd := MajorityLaw(q, ell, tol)
+					dr, dd := dpLaw(q, ell, tol)
+					checkWithinDP(t, q, ell, tol, got, gd, dr, dd)
+				}
+			}
+		}
+	}
+}
+
+// TestPoissonLawNormalised pins the saddle-point normaliser and row
+// centres: at large ℓ, Σr may exceed 1 by no more than 10⁻¹³, and
+// Σr + dropped covers 1 to within 10⁻¹³. The plain log-space pmf
+// −λ + x ln λ − ln x! loses the first at ℓ = 665 and 3000 (Σr − 1 up to
+// 7·10⁻¹³ and 8·10⁻¹²).
+func TestPoissonLawNormalised(t *testing.T) {
+	for _, k := range []int{4, 5, 8} {
+		for _, ell := range []int{443, 665, 3000} {
+			for _, q := range censusPools(k) {
+				r, dropped := MajorityLaw(q, ell, DefaultTolerance)
+				sum := 0.0
+				for _, v := range r {
+					sum += v
+				}
+				if sum > 1+1e-13 || sum+dropped < 1-1e-13 {
+					t.Errorf("q=%v ℓ=%d: Σr − 1 = %.3g, dropped %.3g", q, ell, sum-1, dropped)
+				}
+			}
+		}
+	}
+}
+
+// TestPoissonLawBeyondLnGammaTable evaluates k = 4 at ℓ = lfactSize+1,
+// where binomPMF defers to dist.BinomialPMF and stirlerr runs on its
+// series alone. The rival DP takes seconds there and its plain
+// log-space binomial terms drift by ~10⁻¹¹, so the law is held to its
+// own contract instead, and to the k = 2 law of the same pool padded
+// with two zero opinions — a near-tie whose rival row reaches every
+// winning count — within 10⁻¹⁰, that law's beyond-table drift.
+func TestPoissonLawBeyondLnGammaTable(t *testing.T) {
+	ell := lfactSize + 1
+	for _, q := range [][]float64{{0.7, 0.1, 0.1, 0.1}, {0.505, 0.495, 0, 0}} {
+		r, dropped := MajorityLaw(q, ell, DefaultTolerance)
+		sum := 0.0
+		for _, v := range r {
+			sum += v
+		}
+		if sum > 1+1e-13 || sum+dropped < 1-1e-13 || dropped > DefaultTolerance {
+			t.Errorf("q=%v ℓ=%d: Σr − 1 = %.3g, dropped %.3g", q, ell, sum-1, dropped)
+		}
+		if q[2] != 0 {
+			continue
+		}
+		r2, d2 := MajorityLaw(q[:2], ell, DefaultTolerance)
+		if diff := math.Abs(r[0]-r2[0]) + math.Abs(r[1]-r2[1]); diff > dropped+d2+1e-10 {
+			t.Errorf("q=%v ℓ=%d: r = %v, k = 2 law %v", q, ell, r, r2)
+		}
+	}
+}
+
 // TestStage1LawMatchesTruncatedProfileSum performs the literal
 // truncated-Poisson summation over received-count profiles that the
 // closed form of Stage1Law collapses: adopt[j] = Σ_profiles
@@ -242,32 +336,42 @@ func decodeLawInput(kb, ellb, tolb uint8, qb []byte) ([]float64, int, float64) {
 	return q, ell, tol
 }
 
-// FuzzMajorityLaw pins r bit for bit against the frozen reference of
-// law_ref_test.go — the shared binomial kernel, the hoisted rival
-// conditionals, the tie-major DP, the row-centre memo and the
-// sure-loss floors may change no float of it — and dropped to
-// 0 ≤ dropped ≤ the reference's: the floors stop charging mass that
-// can never win, and nothing else may move. Where a fast path answers
-// (k ≤ 3, point masses), r and dropped must also equal the production
-// rival DP's bit for bit: the reference has its own k = 2 tail and
-// point-mass path, so it cannot pin those. It checks the law's own
-// contract on the same input: Σr + dropped covers all probability,
-// and at enumerable ℓ, against analytic.MajProbs, no r[j] exceeds
-// the exact value and the shortfall summed over opinions stays within
-// dropped — tighter than a per-opinion two-sided gap, since truncation
-// only ever removes mass. The committed corpus under
+// FuzzMajorityLaw pins MajorityLaw to the general rival DP (dpLaw,
+// law_dp_test.go), whose own r it first pins bit for bit to the older
+// frozen evaluator of law_ref_test.go, and its dropped to 0 ≤ dropped
+// ≤ that copy's (the sure-loss floors stopped charging mass that can
+// never win). Where a fast path answers (k ≤ 3, point masses), r and
+// dropped must equal the DP's bit for bit. The Poissonized k ≥ 4 path
+// sums the same profiles in another order and prunes other terms, so
+// it is held to the DP within the two truncations:
+// |r − r_DP|₁ ≤ dropped + dropped_DP + 10⁻¹², with 0 ≤ dropped ≤ tol.
+// Both laws only ever remove mass from the exact one, so each lies
+// within its own dropped of it. Relabelling is checked on every input:
+// the law of the reversed q is the reversed law, within the two
+// dropped masses — the rival order of the k = 3 pass and the
+// prefix/suffix order of the k ≥ 4 path both follow opinion order. It
+// checks the law's own contract on the same input: Σr + dropped covers
+// all probability, and at enumerable ℓ, against analytic.MajProbs, no
+// r[j] exceeds the exact value and the shortfall summed over opinions
+// stays within dropped — tighter than a per-opinion two-sided gap,
+// since truncation only ever removes mass. The committed corpus under
 // testdata/fuzz/FuzzMajorityLaw replays on every plain go test.
 func FuzzMajorityLaw(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kb, ellb, tolb uint8, qb []byte) {
 		q, ell, tol := decodeLawInput(kb, ellb, tolb, qb)
 		var ref refLawEvaluator
 		want, wd := ref.eval(q, ell, tol)
-		got, gd := MajorityLaw(q, ell, tol)
-		if !(gd >= 0 && gd <= wd) {
-			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v outside [0, reference %v]", q, ell, tol, gd, wd)
+		dr, dd := dpLaw(q, ell, tol)
+		if !(dd >= 0 && dd <= wd) {
+			t.Errorf("q=%v ℓ=%d tol=%g: rival DP dropped %v outside [0, reference %v]", q, ell, tol, dd, wd)
 		}
+		for j := range want {
+			if math.Float64bits(dr[j]) != math.Float64bits(want[j]) {
+				t.Errorf("q=%v ℓ=%d tol=%g: rival DP r[%d] = %v, reference %v", q, ell, tol, j, dr[j], want[j])
+			}
+		}
+		got, gd := MajorityLaw(q, ell, tol)
 		if len(q) <= 3 || slices.Contains(q, 1) {
-			dr, dd := dpLaw(q, ell, tol)
 			if math.Float64bits(gd) != math.Float64bits(dd) {
 				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v, rival DP %v", q, ell, tol, gd, dd)
 			}
@@ -276,13 +380,23 @@ func FuzzMajorityLaw(f *testing.F) {
 					t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v, rival DP %v", q, ell, tol, j, got[j], dr[j])
 				}
 			}
+		} else {
+			checkWithinDP(t, q, ell, tol, got, gd, dr, dd)
+		}
+		rev := slices.Clone(q)
+		slices.Reverse(rev)
+		rr, rd := MajorityLaw(rev, ell, tol)
+		l1 := 0.0
+		for j := range got {
+			l1 += math.Abs(rr[len(q)-1-j] - got[j])
+		}
+		if l1 > gd+rd+1e-12 {
+			t.Errorf("q=%v ℓ=%d tol=%g: reversed q moves the law by %.3g in L1, beyond dropped %.3g + %.3g",
+				q, ell, tol, l1, gd, rd)
 		}
 		sum := 0.0
-		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v, reference %v", q, ell, tol, j, got[j], want[j])
-			}
-			sum += got[j]
+		for _, v := range got {
+			sum += v
 		}
 		if sum+gd < 1-1e-11 {
 			t.Errorf("q=%v ℓ=%d tol=%g: Σr + dropped = %v < 1", q, ell, tol, sum+gd)
@@ -304,6 +418,24 @@ func FuzzMajorityLaw(f *testing.F) {
 				q, ell, tol, short, gd)
 		}
 	})
+}
+
+// checkWithinDP is the k ≥ 4 pin: the law r (dropped gd) lies within
+// |r − r_DP|₁ ≤ gd + dd + 10⁻¹² of the rival DP's (dr, dd), and
+// 0 ≤ gd ≤ tol.
+func checkWithinDP(t *testing.T, q []float64, ell int, tol float64, got []float64, gd float64, dr []float64, dd float64) {
+	t.Helper()
+	if !(gd >= 0 && gd <= tol) {
+		t.Errorf("q=%v ℓ=%d tol=%g: dropped %v outside [0, tol]", q, ell, tol, gd)
+	}
+	l1 := 0.0
+	for j := range dr {
+		l1 += math.Abs(got[j] - dr[j])
+	}
+	if l1 > gd+dd+1e-12 {
+		t.Errorf("q=%v ℓ=%d tol=%g: |r − r_DP|₁ = %.3g exceeds dropped %.3g + DP dropped %.3g",
+			q, ell, tol, l1, gd, dd)
+	}
 }
 
 // TestBinomPMFBitIdentical pins the shared table-driven kernel against

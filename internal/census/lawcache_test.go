@@ -224,29 +224,22 @@ func TestFastPathsBitIdenticalToDP(t *testing.T) {
 	}
 }
 
-// dpLaw is MajorityLaw through the general rival DP alone, past every
-// fast path: the reference the fast paths are pinned against.
-func dpLaw(q []float64, ell int, tol float64) ([]float64, float64) {
-	var ev lawEvaluator
-	k := len(q)
-	mCut := tol / (4 * float64(ell+1))
-	stateCut := tol / (4 * float64(ell+1) * float64(k))
-	return ev.evalGeneral(q, ell, mCut, stateCut, make([]float64, k))
-}
-
 // TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
 // return the exact floats of a fresh one (the allocating wrapper), r
-// and dropped alike, and the r of the frozen reference of
-// law_ref_test.go, with dropped never above the reference's (the
-// sure-loss floors charge less, never more) — including across reuse
-// at varying (k, ℓ, q, tol). Stale scratch is the way this can fail:
-// the DP layers are cleared only over the band a call touched, and
-// the row-centre memo lives across a winner's counts. So the sequence
-// shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81), loosens,
-// then tightens, the tolerance, evaluates different pools back to
-// back at one (k, ℓ, tol), and includes pools whose rival rows at one
-// (rival, R) switch between a mode capped at the winning count and an
-// uncapped one as that count grows.
+// and dropped alike, across reuse at varying (k, ℓ, q, tol); and
+// against the references, k ≤ 3 the r of the frozen evaluator of
+// law_ref_test.go bit for bit, with dropped never above its (the
+// sure-loss floors charge less, never more), and k ≥ 4 the rival DP
+// within the two dropped masses. Stale scratch is the way this can
+// fail: every row, prefix, suffix and cap-free product is read only
+// inside the window or band the same evaluation wrote. So the sequence
+// shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81, and
+// 443 → 11 → 665 at k = 5), loosens, then tightens, the tolerance,
+// evaluates different pools back to back at one (k, ℓ, tol), and runs
+// a cap-free → capped → cap-free sequence of pools at one (k, ℓ): a
+// pool whose winner's counts all lie above every rival's window, one
+// where prefixes and suffixes carry every winner, and a second
+// cap-free one with different windows.
 func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 	var ev lawEvaluator
 	cases := []struct {
@@ -264,31 +257,47 @@ func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 		{[]float64{0.38, 0.34, 0.28}, 11, 1e-3},
 		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 81, 1e-9},
 		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
-		// Same (k, ℓ, tol), a different pool each time: every memoized
-		// row centre of the previous call is stale.
+		// Same (k, ℓ, tol), a different pool each time: every row and
+		// window of the previous call is stale.
 		{[]float64{0.1, 0.15, 0.2, 0.25, 0.3}, 81, 1e-13},
 		{[]float64{0.2, 0.2, 0.2, 0.2, 0.2}, 81, 1e-13},
 		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
-		// Under winner 0, opinion 2 (pc = 0.5/0.7) at R = 20 has mode
-		// 14: its row is capped at winning counts 10…13, uncapped from
-		// 14 on, and the DP reaches it at both. Under winner 1 the same
-		// row has mode 15.
 		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-13},
 		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-6},
 		{[]float64{0.15, 0.05, 0.6, 0.1, 0.1}, 64, 1e-13},
+		// Cap-free → capped → cap-free at k = 5, ℓ = 443.
+		{[]float64{0.7, 0.075, 0.075, 0.075, 0.075}, 443, 1e-13},
+		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 443, 1e-13},
+		{[]float64{0.03, 0.03, 0.03, 0.06, 0.85}, 443, 1e-13},
+		// ℓ going 443 → 11 → 665 at k = 5.
+		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 443, 1e-13},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 11, 1e-13},
+		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 665, 1e-13},
 	}
 	for _, c := range cases {
 		want, wd := MajorityLaw(c.q, c.ell, c.tol)
-		var ref refLawEvaluator
-		rwant, rwd := ref.eval(c.q, c.ell, c.tol)
 		got, gd := ev.eval(c.q, c.ell, c.tol)
-		if wd != gd || !(gd >= 0 && gd <= rwd) {
-			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v vs fresh %v, reference %v", c.q, c.ell, c.tol, gd, wd, rwd)
+		if wd != gd {
+			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v vs fresh %v", c.q, c.ell, c.tol, gd, wd)
 		}
 		for j := range want {
-			if got[j] != want[j] || got[j] != rwant[j] {
-				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v vs fresh %v, reference %v",
-					c.q, c.ell, c.tol, j, got[j], want[j], rwant[j])
+			if got[j] != want[j] {
+				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v vs fresh %v", c.q, c.ell, c.tol, j, got[j], want[j])
+			}
+		}
+		if len(c.q) >= 4 {
+			dr, dd := dpLaw(c.q, c.ell, c.tol)
+			checkWithinDP(t, c.q, c.ell, c.tol, got, gd, dr, dd)
+			continue
+		}
+		var ref refLawEvaluator
+		rwant, rwd := ref.eval(c.q, c.ell, c.tol)
+		if !(gd >= 0 && gd <= rwd) {
+			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v outside [0, reference %v]", c.q, c.ell, c.tol, gd, rwd)
+		}
+		for j := range rwant {
+			if got[j] != rwant[j] {
+				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v, reference %v", c.q, c.ell, c.tol, j, got[j], rwant[j])
 			}
 		}
 	}
@@ -299,15 +308,20 @@ func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 // every exact k ≥ 3 Stage-2 phase, so one allocation per call would
 // show up as GC work across a sweep.
 func TestLawEvaluatorZeroAllocs(t *testing.T) {
-	for _, q := range [][]float64{
-		{0.55, 0.45},
-		{0.4, 0.35, 0.25},
-		{0.3, 0.25, 0.2, 0.15, 0.1},
+	for _, c := range []struct {
+		q   []float64
+		ell int
+	}{
+		{[]float64{0.55, 0.45}, 81},
+		{[]float64{0.4, 0.35, 0.25}, 81},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81},
+		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 443},
+		{[]float64{0.16, 0.14, 0.14, 0.12, 0.12, 0.12, 0.1, 0.1}, 81},
 	} {
 		var ev lawEvaluator
-		ev.eval(q, 81, DefaultTolerance)
-		if n := testing.AllocsPerRun(10, func() { ev.eval(q, 81, DefaultTolerance) }); n != 0 {
-			t.Errorf("k=%d: warmed eval allocates %v times per call, want 0", len(q), n)
+		ev.eval(c.q, c.ell, DefaultTolerance)
+		if n := testing.AllocsPerRun(10, func() { ev.eval(c.q, c.ell, DefaultTolerance) }); n != 0 {
+			t.Errorf("k=%d ℓ=%d: warmed eval allocates %v times per call, want 0", len(c.q), c.ell, n)
 		}
 	}
 }
