@@ -76,14 +76,16 @@ sweep-smoke:
 	$(GO) run -race ./cmd/sweep grid -matrix uniform -k 3 -eps 0.15,0.25,0.35 \
 	    -delta 0.1 -n 2000 -trials 4 -workers 4 -seed 7
 
-# End-to-end observability smoke: an in-process 3-point grid with
-# -metrics-addr, asserting /metrics serves the key metric families
-# (sweep_points_total, lawcache_{hits,misses}_total, the
-# census_quant_budget histogram), /healthz answers 200, pprof returns
-# a parseable profile, the NDJSON trace parses, and the checkpoint is
-# byte-identical to an uninstrumented run.
+# End-to-end observability smoke for both CLIs that wire obs.Open:
+# an in-process 3-point `sweep grid` with -metrics-addr, asserting
+# /metrics serves the key metric families (sweep_points_total,
+# lawcache_{hits,misses}_total, the census_quant_budget histogram),
+# /healthz answers 200, pprof returns a parseable profile, the NDJSON
+# trace parses, and the checkpoint is byte-identical to an
+# uninstrumented run; plus `experiments -run E1 -quick -engine census
+# -trace-out`, whose trace must parse and carry census_phase events.
 obs-smoke:
-	$(GO) test -run TestObsSmoke -count=1 -v ./cmd/sweep
+	$(GO) test -run 'TestObsSmoke|TestTraceOutCensusPhases' -count=1 -v ./cmd/sweep ./cmd/experiments
 
 # chaos is the failure-path gate: test doubles at the sweep's two
 # seams (a journal writer whose appends tear mid-line, a trial that

@@ -32,99 +32,34 @@ func main() {
 	}
 }
 
-// cliFlags is the binary's full flag set; registration is separate
-// from run so the tests can assert it matches the CLI's declared
-// universe in core.FlagUniverses.
-type cliFlags struct {
-	runID       *string
-	seed        *uint64
-	quick       *bool
-	write       *string
-	writeMD     *bool
-	csvDir      *string
-	workers     *int
-	backend     *string
-	engine      *string
-	threads     *int
-	lawQuant    *float64
-	censusTol   *float64
-	metricsAddr *string
-	traceOut    *string
-}
-
-func registerFlags(fs *flag.FlagSet) *cliFlags {
-	return &cliFlags{
-		runID:   fs.String("run", "all", "experiment ID (E1…E22) or 'all'"),
-		seed:    fs.Uint64("seed", 20160725, "suite seed (default: PODC'16 date)"),
-		quick:   fs.Bool("quick", false, "CI-scale populations and trial counts"),
-		write:   fs.String("writefile", "", "write a markdown report to this file"),
-		writeMD: fs.Bool("write", false, "shorthand for -writefile EXPERIMENTS.md"),
-		csvDir:  fs.String("csvdir", "", "also write every result table as CSV into this directory"),
-		workers: fs.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS)"),
-		backend: fs.String("backend", "",
-			"sampling backend for protocol trials ("+strings.Join(model.BackendNames(), ", ")+"; empty = loop)"),
-		engine: fs.String("engine", "",
-			"communication engine for protocol trials ("+strings.Join(model.ProcessNames(), ", ")+"; empty = O; census runs trials on the n-independent aggregate engine)"),
-		threads: fs.Int("threads", 0,
-			"intra-phase worker count for the parallel backend (0 = GOMAXPROCS)"),
-		lawQuant: fs.Float64("law-quant", 0,
-			"census Stage-2 law quantization step η for census-engine trials, incl. the sweep-driven E21/E22 (0 = exact; try 1e-3; the law-level certificate ℓ·d_TV·sens is charged into every budget)"),
-		censusTol: fs.Float64("census-tol", 0,
-			"census Stage-2 truncation tolerance override for census-engine trials (0 = the engine default 1e-13)"),
-		metricsAddr: fs.String("metrics-addr", "",
-			"serve GET /metrics (Prometheus text), /metrics.json, /healthz and /debug/pprof on this host:port while the suite runs (port 0 picks a free port; the bound address is printed). Write-only telemetry: results are bit-identical with or without it"),
-		traceOut: fs.String("trace-out", "",
-			"write NDJSON phase-trace events (census phases, law-cache lookups, trials, points, checkpoint writes) to this file"),
-	}
-}
-
-// instrument builds the suite's observability sinks from -metrics-addr
-// and -trace-out; with neither set it returns a zero Instrumentation
-// and the experiments run exactly as before. The cleanup closes the
-// server and flushes the trace file.
-func (cf *cliFlags) instrument(out io.Writer) (sweep.Instrumentation, func(), error) {
-	if *cf.metricsAddr == "" && *cf.traceOut == "" {
-		return sweep.Instrumentation{}, func() {}, nil
-	}
-	clock := obs.WallClock{}
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
-	var tracer *obs.Tracer
-	if *cf.traceOut != "" {
-		f, err := os.Create(*cf.traceOut)
-		if err != nil {
-			return sweep.Instrumentation{}, nil, fmt.Errorf("-trace-out: %w", err)
-		}
-		tracer = obs.NewTracer(f, clock)
-		cleanups = append(cleanups, func() { _ = f.Close() })
-	}
-	reg := obs.NewRegistry()
-	inst := sweep.NewInstrumentation(reg, tracer, clock)
-	if *cf.metricsAddr != "" {
-		srv, err := obs.Serve(*cf.metricsAddr, reg)
-		if err != nil {
-			cleanup()
-			return sweep.Instrumentation{}, nil, err
-		}
-		fmt.Fprintf(out, "metrics: serving on %s\n", srv.Addr())
-		cleanups = append(cleanups, func() { _ = srv.Close() })
-	}
-	return inst, cleanup, nil
-}
-
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	cf := registerFlags(fs)
+	var (
+		runID   = fs.String("run", "all", "experiment ID (E1…E22) or 'all'")
+		seed    = fs.Uint64("seed", 20160725, "suite seed (default: PODC'16 date)")
+		quick   = fs.Bool("quick", false, "CI-scale populations and trial counts")
+		write   = fs.String("writefile", "", "write a markdown report to this file")
+		writeMD = fs.Bool("write", false, "shorthand for -writefile EXPERIMENTS.md")
+		csvDir  = fs.String("csvdir", "", "also write every result table as CSV into this directory")
+		workers = fs.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS)")
+		backend = fs.String("backend", "",
+			"sampling backend for protocol trials ("+strings.Join(model.BackendNames(), ", ")+"; empty = loop)")
+		engine = fs.String("engine", "",
+			"communication engine for protocol trials ("+strings.Join(model.ProcessNames(), ", ")+"; empty = O; census runs trials on the n-independent aggregate engine)")
+		threads = fs.Int("threads", 0,
+			"intra-phase worker count for the parallel backend (0 = GOMAXPROCS)")
+		lawQuant = fs.Float64("law-quant", 0,
+			"census Stage-2 law quantization step η for census-engine trials, incl. the sweep-driven E21/E22 (0 = exact; try 1e-3; the law-level certificate ℓ·d_TV·sens is charged into every budget)")
+		censusTol = fs.Float64("census-tol", 0,
+			"census Stage-2 truncation tolerance override for census-engine trials (0 = the engine default 1e-13)")
+		metricsAddr = fs.String("metrics-addr", "",
+			"serve GET /metrics (Prometheus text), /metrics.json, /healthz and /debug/pprof on this host:port while the suite runs (port 0 picks a free port; the bound address is printed). Write-only telemetry: results are bit-identical with or without it")
+		traceOut = fs.String("trace-out", "",
+			"write NDJSON phase-trace events (census phases, law-cache lookups, trials, points, checkpoint writes) to this file")
+	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	runID, seed, quick, write, writeMD, csvDir := cf.runID, cf.seed, cf.quick, cf.write, cf.writeMD, cf.csvDir
-	workers, backend, engine, threads := cf.workers, cf.backend, cf.engine, cf.threads
-	lawQuant, censusTol := cf.lawQuant, cf.censusTol
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if _, err := model.BackendByName(*backend); err != nil {
@@ -137,14 +72,6 @@ func run(args []string, out io.Writer) error {
 	if *threads < 0 {
 		return fmt.Errorf("-threads must be ≥ 0, got %d", *threads)
 	}
-	cfg := sim.Config{Seed: *seed, Quick: *quick, Workers: *workers, Backend: *backend, Engine: *engine,
-		Threads: *threads, LawQuant: *lawQuant, CensusTol: *censusTol}
-	inst, obsDone, err := cf.instrument(out)
-	if err != nil {
-		return err
-	}
-	defer obsDone()
-	cfg.Obs = inst
 
 	var exps []sim.Experiment
 	if strings.EqualFold(*runID, "all") {
@@ -157,8 +84,8 @@ func run(args []string, out io.Writer) error {
 		exps = []sim.Experiment{e}
 	}
 
-	// Reject contradictory flag combinations via the shared table
-	// (internal/core/flags.go). The census knobs reach census-engine
+	// Reject contradictory flag combinations instead of silently
+	// ignoring the losing flag. The census knobs reach census-engine
 	// trials only: protocol trials under -engine census, and the
 	// sweep-driven E21/E22 (census regardless of -engine, unless an
 	// explicit -engine override signals per-node intent).
@@ -169,14 +96,25 @@ func run(args []string, out io.Writer) error {
 			break
 		}
 	}
-	state := core.FlagState{
-		Set:          set,
-		CensusEngine: proc == model.ProcessCensus,
-		Backend:      *backend,
-		SweepDriven:  sweepDriven && !set["engine"],
-	}
-	if err := core.CheckFlags(state, core.FlagUniverses["experiments"]); err != nil {
+	if err := core.CheckEngineFlags(set, proc == model.ProcessCensus, sweepDriven && !set["engine"], *backend); err != nil {
 		return err
+	}
+
+	cfg := sim.Config{Seed: *seed, Quick: *quick, Workers: *workers, Backend: *backend, Engine: *engine,
+		Threads: *threads, LawQuant: *lawQuant, CensusTol: *censusTol}
+	// Open the sinks only once the invocation is valid, so a rejected
+	// one leaves an existing -trace-out file untouched.
+	sinks, err := obs.Open(*metricsAddr, *traceOut, 0, out)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := sinks.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if sinks != nil {
+		cfg.Obs = sweep.NewInstrumentation(sinks.Registry, sinks.Tracer, obs.WallClock{})
 	}
 
 	var reports []*sim.Report

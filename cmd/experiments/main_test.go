@@ -1,14 +1,14 @@
 package main
 
 import (
-	"flag"
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/gossipkit/noisyrumor/internal/core"
 )
 
 func TestRunSingleExperimentQuick(t *testing.T) {
@@ -134,27 +134,55 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 	}
 }
 
-// TestFlagUniverseMatches: the binary's registered flag set is
-// exactly the universe declared in core.FlagUniverses["experiments"], so a
-// new flag cannot ship without classifying its interactions in the
-// shared rejection table (see internal/core/flags.go).
-func TestFlagUniverseMatches(t *testing.T) {
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	_ = registerFlags(fs)
-	got := map[string]bool{}
-	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = true })
-	want := map[string]bool{}
-	for _, name := range core.FlagUniverses["experiments"] {
-		want[name] = true
+// TestRejectedRunKeepsTraceFile: flags are checked before the sinks
+// open, so a rejected invocation leaves an existing -trace-out file
+// as it was.
+func TestRejectedRunKeepsTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.ndjson")
+	want := []byte("keep\n")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for name := range got {
-		if !want[name] {
-			t.Errorf("flag -%s is registered but missing from core.FlagUniverses[%q]", name, "experiments")
+	if err := run([]string{"-run", "E1", "-quick", "-engine", "census", "-backend", "batch",
+		"-trace-out", path}, io.Discard); err == nil {
+		t.Fatal("-backend with -engine census accepted")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("trace file after a rejected run = %q, %v; want %q", got, err, want)
+	}
+}
+
+// TestTraceOutCensusPhases is the experiments half of `make
+// obs-smoke`: a census-engine experiment with -trace-out writes one
+// JSON object per line, census_phase events among them.
+func TestTraceOutCensusPhases(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.ndjson")
+	if err := run([]string{"-run", "E1", "-quick", "-engine", "census", "-trace-out", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines, phases := 0, 0
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var ev struct {
+			Ev string `json:"ev"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line %d is not JSON: %v\n%s", lines, err, sc.Text())
+		}
+		lines++
+		if ev.Ev == "census_phase" {
+			phases++
 		}
 	}
-	for name := range want {
-		if !got[name] {
-			t.Errorf("core.FlagUniverses[%q] lists -%s but the binary does not register it", "experiments", name)
-		}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if phases == 0 {
+		t.Fatalf("no census_phase event in %d trace lines", lines)
 	}
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,55 +31,28 @@ func main() {
 	}
 }
 
-// cliFlags is the binary's full flag set; registration is separate
-// from run so the tests can assert it matches the CLI's declared
-// universe in core.FlagUniverses.
-type cliFlags struct {
-	n         *int64
-	k         *int
-	eps       *float64
-	seed      *uint64
-	trace     *bool
-	matrix    *string
-	counts    *string
-	correct   *int
-	engine    *string
-	backend   *string
-	threads   *int
-	lawQuant  *float64
-	censusTol *float64
-}
-
-func registerFlags(fs *flag.FlagSet) *cliFlags {
-	return &cliFlags{
-		n:       fs.Int64("n", 10000, "number of agents (the census engine accepts n ≥ 10⁹)"),
-		k:       fs.Int("k", 3, "number of opinions"),
-		eps:     fs.Float64("eps", 0.25, "noise parameter ε"),
-		seed:    fs.Uint64("seed", 1, "random seed"),
-		trace:   fs.Bool("trace", false, "print the per-phase trace"),
-		matrix:  fs.String("matrix", "uniform", "noise matrix: uniform | binary | identity | cycle | reset"),
-		counts:  fs.String("counts", "", "comma-separated initial opinion counts (plurality consensus); empty = rumor spreading from one source"),
-		correct: fs.Int("correct", 0, "the source's opinion (rumor spreading only)"),
-		engine:  fs.String("engine", "", "communication engine: "+strings.Join(noisyrumor.Engines(), " | ")+" (empty = O; census is the n-independent aggregate engine)"),
-		backend: fs.String("backend", "", "sampling backend: "+strings.Join(noisyrumor.Backends(), " | ")+" (empty = loop; census engine ignores it)"),
-		threads: fs.Int("threads", 0, "intra-phase worker count for the parallel backend (0 = GOMAXPROCS)"),
-		lawQuant: fs.Float64("law-quant", 0,
-			"census Stage-2 law quantization step η: memoize the majority law on the η-lattice, charging the law-level certificate ℓ·d_TV·sens per phase into the error budget (0 = exact; try 1e-3; census engine only)"),
-		censusTol: fs.Float64("census-tol", 0,
-			"census Stage-2 truncation tolerance override (0 = the engine default 1e-13; census engine only)"),
-	}
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("noisyrumor", flag.ContinueOnError)
-	cf := registerFlags(fs)
+	var (
+		n        = fs.Int64("n", 10000, "number of agents (the census engine accepts n ≥ 10⁹)")
+		k        = fs.Int("k", 3, "number of opinions")
+		eps      = fs.Float64("eps", 0.25, "noise parameter ε")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		trace    = fs.Bool("trace", false, "print the per-phase trace")
+		matrix   = fs.String("matrix", "uniform", "noise matrix: uniform | binary | identity | cycle | reset")
+		counts   = fs.String("counts", "", "comma-separated initial opinion counts (plurality consensus); empty = rumor spreading from one source")
+		correct  = fs.Int("correct", 0, "the source's opinion (rumor spreading only)")
+		engine   = fs.String("engine", "", "communication engine: "+strings.Join(noisyrumor.Engines(), " | ")+" (empty = O; census is the n-independent aggregate engine)")
+		backend  = fs.String("backend", "", "sampling backend: "+strings.Join(noisyrumor.Backends(), " | ")+" (empty = loop; census engine ignores it)")
+		threads  = fs.Int("threads", 0, "intra-phase worker count for the parallel backend (0 = GOMAXPROCS)")
+		lawQuant = fs.Float64("law-quant", 0,
+			"census Stage-2 law quantization step η: memoize the majority law on the η-lattice, charging the law-level certificate ℓ·d_TV·sens per phase into the error budget (0 = exact; try 1e-3; census engine only)")
+		censusTol = fs.Float64("census-tol", 0,
+			"census Stage-2 truncation tolerance override (0 = the engine default 1e-13; census engine only)")
+	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, k, eps, seed := cf.n, cf.k, cf.eps, cf.seed
-	trace, matrix, counts, correct := cf.trace, cf.matrix, cf.counts, cf.correct
-	engine, backend, threads := cf.engine, cf.backend, cf.threads
-	lawQuant, censusTol := cf.lawQuant, cf.censusTol
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
@@ -86,16 +60,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Reject contradictory flag combinations via the shared table
-	// (internal/core/flags.go) instead of silently ignoring the
-	// losing flag.
-	state := core.FlagState{
-		Set:          set,
-		CensusEngine: proc == noisyrumor.ProcessCensus,
-		Backend:      *backend,
-	}
-	if err := core.CheckFlags(state, core.FlagUniverses["noisyrumor"]); err != nil {
+	// Reject contradictory flag combinations instead of silently
+	// ignoring the losing flag.
+	if err := core.CheckEngineFlags(set, proc == noisyrumor.ProcessCensus, false, *backend); err != nil {
 		return err
+	}
+	if set["correct"] && set["counts"] {
+		return errors.New("-correct applies to rumor spreading only: with -counts the plurality opinion of the counts is the correct outcome; drop one of the two flags")
 	}
 	nm, err := makeMatrix(*matrix, *k, *eps)
 	if err != nil {

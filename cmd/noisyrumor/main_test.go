@@ -1,12 +1,9 @@
 package main
 
 import (
-	"flag"
 	"io"
 	"strings"
 	"testing"
-
-	"github.com/gossipkit/noisyrumor/internal/core"
 )
 
 func TestParseCounts(t *testing.T) {
@@ -124,9 +121,11 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 			"-engine", "P", "-census-tol", "1e-9"}},
 	}
 	for _, c := range cases {
-		if err := run(c.args, io.Discard); err == nil {
-			t.Errorf("%s: accepted silently", c.name)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			if err := run(c.args, io.Discard); err == nil {
+				t.Error("accepted silently")
+			}
+		})
 	}
 	// The near-miss combinations must still work: an explicit
 	// -threads with -backend parallel, and -correct for rumor spreading.
@@ -191,30 +190,5 @@ func TestRunCensusEngineSmoke(t *testing.T) {
 	}
 	if err := run([]string{"-engine", "warp"}, io.Discard); err == nil {
 		t.Fatal("bogus engine accepted")
-	}
-}
-
-// TestFlagUniverseMatches: the binary's registered flag set is
-// exactly the universe declared in core.FlagUniverses["noisyrumor"], so a
-// new flag cannot ship without classifying its interactions in the
-// shared rejection table (see internal/core/flags.go).
-func TestFlagUniverseMatches(t *testing.T) {
-	fs := flag.NewFlagSet("noisyrumor", flag.ContinueOnError)
-	_ = registerFlags(fs)
-	got := map[string]bool{}
-	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = true })
-	want := map[string]bool{}
-	for _, name := range core.FlagUniverses["noisyrumor"] {
-		want[name] = true
-	}
-	for name := range got {
-		if !want[name] {
-			t.Errorf("flag -%s is registered but missing from core.FlagUniverses[%q]", name, "noisyrumor")
-		}
-	}
-	for name := range want {
-		if !got[name] {
-			t.Errorf("core.FlagUniverses[%q] lists -%s but the binary does not register it", "noisyrumor", name)
-		}
 	}
 }

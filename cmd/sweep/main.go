@@ -23,6 +23,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -103,63 +104,24 @@ func registerCommon(fs *flag.FlagSet) commonFlags {
 	}
 }
 
-// instrument builds the sweep's observability sinks from the metrics
-// flags: a registry-backed Instrumentation, a metrics server on
-// -metrics-addr, and an NDJSON tracer on -trace-out. The returned
-// cleanup lingers (when asked), closes the server and flushes the
-// trace file; it must run after the sweep. With neither flag set
-// everything stays nil and the sweep runs exactly as before.
-func (c commonFlags) instrument(out io.Writer, cache *census.LawCache) (sweep.Instrumentation, func(), error) {
-	if *c.metricsAddr == "" && *c.traceOut == "" {
-		return sweep.Instrumentation{}, func() {}, nil
-	}
-	clock := obs.WallClock{}
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
-	var tracer *obs.Tracer
-	if *c.traceOut != "" {
-		f, err := os.Create(*c.traceOut)
-		if err != nil {
-			return sweep.Instrumentation{}, nil, fmt.Errorf("-trace-out: %w", err)
-		}
-		tracer = obs.NewTracer(f, clock)
-		cleanups = append(cleanups, func() { _ = f.Close() })
-	}
-	reg := obs.NewRegistry()
-	inst := sweep.NewInstrumentation(reg, tracer, clock)
-	cache.Register(reg)
-	if *c.metricsAddr != "" {
-		srv, err := obs.Serve(*c.metricsAddr, reg)
-		if err != nil {
-			cleanup()
-			return sweep.Instrumentation{}, nil, err
-		}
-		fmt.Fprintf(out, "metrics: serving on %s\n", srv.Addr())
-		linger := *c.metricsLinger
-		cleanups = append(cleanups, func() {
-			if linger > 0 {
-				time.Sleep(linger)
-			}
-			_ = srv.Close()
-		})
-	}
-	return inst, cleanup, nil
-}
-
-// validate rejects contradictory flag combinations via the shared
-// table (internal/core/flags.go) instead of silently ignoring the
-// losing flag — the census-only knobs have no effect on the per-node
-// cross-check engines. Mode-specific flags are pure value parameters
-// and stay outside the table.
+// validate rejects contradictory flag combinations instead of silently
+// ignoring the losing flag: the census-only knobs have no effect on
+// the per-node cross-check engines, -metrics-linger keeps a listener
+// only -metrics-addr starts, and a -shard run's slice survives only in
+// its checkpoint. Mode-specific flags are pure value parameters.
 func (c commonFlags) validate() error {
 	set := map[string]bool{}
 	c.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	state := core.FlagState{Set: set, CensusEngine: engineName(*c.engine) == ""}
-	return core.CheckFlags(state, core.FlagUniverses["sweep"])
+	if err := core.CheckEngineFlags(set, engineName(*c.engine) == "", false, ""); err != nil {
+		return err
+	}
+	if set["metrics-linger"] && !set["metrics-addr"] {
+		return errors.New("-metrics-linger keeps the metrics listener alive after the run, so it needs -metrics-addr to start one; add -metrics-addr or drop -metrics-linger")
+	}
+	if set["shard"] && !set["checkpoint"] {
+		return errors.New("-shard runs one slice of the sweep, whose output exists only as a per-shard checkpoint for `sweep merge`; without -checkpoint the slice would be computed and thrown away; add -checkpoint shard<i>.json or drop -shard")
+	}
+	return nil
 }
 
 // runner builds the sweep runner, sharing one Stage-2 law cache
@@ -167,7 +129,10 @@ func (c commonFlags) validate() error {
 // can report cache statistics after the run. Checkpoint I/O retries
 // get a real sleeper — the CLI is a harness, so backoff may block —
 // while jitter stays seeded, so a retried run's results are unchanged.
-func (c commonFlags) runner() (sweep.Runner, *census.LawCache, error) {
+// It also opens the sinks -metrics-addr and -trace-out ask for (nil
+// without either flag, leaving the runner uninstrumented); the caller
+// closes them with closeSinks after the run.
+func (c commonFlags) runner(out io.Writer) (sweep.Runner, *census.LawCache, *obs.Sinks, error) {
 	var cache *census.LawCache
 	if *c.lawQuant > 0 {
 		cache = census.NewLawCache()
@@ -176,11 +141,27 @@ func (c commonFlags) runner() (sweep.Runner, *census.LawCache, error) {
 	if *c.shard != "" {
 		sh, err := sweep.ParseShard(*c.shard)
 		if err != nil {
-			return sweep.Runner{}, nil, fmt.Errorf("-shard: %w", err)
+			return sweep.Runner{}, nil, nil, fmt.Errorf("-shard: %w", err)
 		}
 		r.Shard = sh
 	}
-	return r, cache, nil
+	sinks, err := obs.Open(*c.metricsAddr, *c.traceOut, *c.metricsLinger, out)
+	if err != nil {
+		return sweep.Runner{}, nil, nil, err
+	}
+	if sinks != nil {
+		r.Obs = sweep.NewInstrumentation(sinks.Registry, sinks.Tracer, obs.WallClock{})
+		cache.Register(sinks.Registry)
+	}
+	return r, cache, sinks, nil
+}
+
+// closeSinks closes the run's sinks once its output is written; a
+// trace the run failed to write fails the run.
+func closeSinks(s *obs.Sinks, err *error) {
+	if cerr := s.Close(); *err == nil {
+		*err = cerr
+	}
 }
 
 // printResilienceSummary reports degradation the run recovered from;
@@ -251,7 +232,7 @@ func printCacheStats(out io.Writer, cache *census.LawCache) {
 		h, m, 100*cache.HitRate(), cache.Len(), cache.DroppedStores())
 }
 
-func runGrid(args []string, out io.Writer) error {
+func runGrid(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep grid", flag.ContinueOnError)
 	var (
 		matrix   = fs.String("matrix", "uniform", "comma-separated matrix families (uniform | binary | identity | cycle | reset)")
@@ -278,7 +259,6 @@ func runGrid(args []string, out io.Writer) error {
 		LawQuant:  *common.lawQuant,
 		CensusTol: *common.censusTol,
 	}
-	var err error
 	if g.Ks, err = parseInts(*ks); err != nil {
 		return fmt.Errorf("-k: %w", err)
 	}
@@ -296,16 +276,11 @@ func runGrid(args []string, out io.Writer) error {
 			return fmt.Errorf("-c: %w", err)
 		}
 	}
-	r, cache, err := common.runner()
+	r, cache, sinks, err := common.runner(out)
 	if err != nil {
 		return err
 	}
-	inst, obsDone, err := common.instrument(out, cache)
-	if err != nil {
-		return err
-	}
-	defer obsDone()
-	r.Obs = inst
+	defer closeSinks(sinks, &err)
 	res, err := r.RunGrid(g)
 	if err != nil {
 		return err
@@ -332,7 +307,7 @@ func runGrid(args []string, out io.Writer) error {
 	return nil
 }
 
-func runBisect(args []string, out io.Writer) error {
+func runBisect(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep bisect", flag.ContinueOnError)
 	var (
 		matrix   = fs.String("matrix", "binary", "matrix family")
@@ -364,16 +339,11 @@ func runBisect(args []string, out io.Writer) error {
 		Lo: *lo, Hi: *hi, Tol: *tol, Trials: *trials, Batch: *batch, MaxEvals: *maxEvals,
 		Engine: engineName(*common.engine), LawQuant: *common.lawQuant, CensusTol: *common.censusTol,
 	}
-	r, cache, err := common.runner()
+	r, cache, sinks, err := common.runner(out)
 	if err != nil {
 		return err
 	}
-	inst, obsDone, err := common.instrument(out, cache)
-	if err != nil {
-		return err
-	}
-	defer obsDone()
-	r.Obs = inst
+	defer closeSinks(sinks, &err)
 	res, err := r.RunBisect(b)
 	if err != nil {
 		return err
@@ -402,7 +372,7 @@ func runBisect(args []string, out io.Writer) error {
 	return nil
 }
 
-func runScaling(args []string, out io.Writer) error {
+func runScaling(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep scaling", flag.ContinueOnError)
 	var (
 		matrix   = fs.String("matrix", "uniform", "matrix family")
@@ -427,7 +397,6 @@ func runScaling(args []string, out io.Writer) error {
 		LawQuant: *common.lawQuant, CensusTol: *common.censusTol,
 	}
 	if *ns != "" {
-		var err error
 		if s.Ns, err = parseInt64s(*ns); err != nil {
 			return fmt.Errorf("-n: %w", err)
 		}
@@ -438,16 +407,11 @@ func runScaling(args []string, out io.Writer) error {
 		}
 		s.Ns = sweep.Decades(lo, hi)
 	}
-	r, cache, err := common.runner()
+	r, cache, sinks, err := common.runner(out)
 	if err != nil {
 		return err
 	}
-	inst, obsDone, err := common.instrument(out, cache)
-	if err != nil {
-		return err
-	}
-	defer obsDone()
-	r.Obs = inst
+	defer closeSinks(sinks, &err)
 	res, err := r.RunScaling(s)
 	if err != nil {
 		return err

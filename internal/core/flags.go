@@ -1,223 +1,28 @@
 package core
 
-import "fmt"
+import "errors"
 
-// This file is the single source of truth for contradictory CLI flag
-// combinations. The three CLIs (noisyrumor, experiments, sweep) each
-// resolve their invocation into a FlagState and iterate the shared
-// FlagRejections table via CheckFlags, so a knob that silently
-// no-ops in one binary cannot quietly keep working in another. Every
-// pair of conflict-participating flags must be classified — either by
-// a FlagRejections entry or by an explicit FlagIndependent entry —
-// and the core tests enforce that coverage.
-
-// FlagState is one CLI invocation's resolved flag context as the
-// shared rejection table sees it.
-type FlagState struct {
-	// Set reports which flags were explicitly passed on the command
-	// line (flag.FlagSet.Visit, not default values).
-	Set map[string]bool
-	// CensusEngine is true when the resolved engine is the aggregate
-	// census engine rather than a per-node process.
-	CensusEngine bool
-	// Backend is the resolved per-node sampling backend ("" = the
-	// default loop backend).
-	Backend string
-	// SweepDriven is true when the run drives census sweeps regardless
-	// of -engine (the experiments CLI's E21/E22 with no explicit
-	// engine override), so the census-only knobs do reach an engine.
-	SweepDriven bool
-}
-
-// FlagRejection is one contradictory flag combination: when When
-// reports true on a state in which Flag was explicitly set, the CLI
-// rejects the invocation instead of silently ignoring the losing
-// flag.
-type FlagRejection struct {
-	Flag    string // the losing flag
-	Against string // the flag it contradicts
-	Reason  string // why the combination is contradictory
-	Hint    string // what the user should do instead
-	When    func(FlagState) bool
-}
-
-// FlagRejections is the shared rejection table. Entries are checked
-// in order; the first match wins. Keep Flag/Against pairs in sync
-// with FlagIndependent — the pair coverage test fails on any
-// conflict-participating pair left unclassified.
-var FlagRejections = []FlagRejection{
-	{
-		Flag: "backend", Against: "engine",
-		Reason: "has no effect with -engine census (the aggregate engine has no per-node sampling to select)",
-		Hint:   "drop -backend or pick a per-node engine",
-		When:   func(s FlagState) bool { return s.Set["backend"] && s.CensusEngine },
-	},
-	{
-		Flag: "threads", Against: "engine",
-		Reason: "has no effect with -engine census (the aggregate engine has no per-node sampling to parallelize)",
-		Hint:   "drop -threads or pick a per-node engine (trial parallelism is -workers where available)",
-		When:   func(s FlagState) bool { return s.Set["threads"] && s.CensusEngine },
-	},
-	{
-		Flag: "threads", Against: "backend",
-		Reason: "only applies to -backend parallel",
-		Hint:   "add -backend parallel or drop -threads",
-		When: func(s FlagState) bool {
-			return s.Set["threads"] && !s.CensusEngine && s.Backend != "parallel"
-		},
-	},
-	{
-		Flag: "law-quant", Against: "engine",
-		Reason: "applies to the census engine only (per-node engines evaluate no aggregate Stage-2 law)",
-		Hint:   "add -engine census or drop the flag",
-		When: func(s FlagState) bool {
-			return s.Set["law-quant"] && !s.CensusEngine && !s.SweepDriven
-		},
-	},
-	{
-		Flag: "census-tol", Against: "engine",
-		Reason: "applies to the census engine only (per-node engines have no truncation tolerance)",
-		Hint:   "add -engine census or drop the flag",
-		When: func(s FlagState) bool {
-			return s.Set["census-tol"] && !s.CensusEngine && !s.SweepDriven
-		},
-	},
-	{
-		Flag: "correct", Against: "counts",
-		Reason: "applies to rumor spreading only: with -counts the plurality opinion of the counts is the correct outcome",
-		Hint:   "drop one of the two flags",
-		When:   func(s FlagState) bool { return s.Set["correct"] && s.Set["counts"] },
-	},
-	{
-		Flag: "metrics-linger", Against: "metrics-addr",
-		Reason: "keeps the metrics listener alive after the run, so it needs -metrics-addr to start one",
-		Hint:   "add -metrics-addr or drop -metrics-linger",
-		When:   func(s FlagState) bool { return s.Set["metrics-linger"] && !s.Set["metrics-addr"] },
-	},
-	{
-		Flag: "shard", Against: "checkpoint",
-		Reason: "runs one slice of the sweep, whose output exists only as a per-shard checkpoint for `sweep merge`; without -checkpoint the slice would be computed and thrown away",
-		Hint:   "add -checkpoint shard<i>.json or drop -shard",
-		When:   func(s FlagState) bool { return s.Set["shard"] && !s.Set["checkpoint"] },
-	},
-}
-
-// FlagIndependent lists the unordered pairs of conflict-participating
-// flags that are deliberately absent from FlagRejections: setting
-// both is meaningful, or any conflict is mediated by a third flag
-// already in the table (e.g. -backend × -law-quant only collide
-// through -engine, and that pair is rejected directly). The pair
-// coverage test requires every unordered pair of conflict-
-// participating flags to appear in exactly one of the two tables.
-var FlagIndependent = [][2]string{
-	{"engine", "correct"},    // census rumor spreading takes a source opinion
-	{"engine", "counts"},     // every engine accepts an initial census
-	{"backend", "law-quant"}, // collide only through -engine census, already rejected
-	{"backend", "census-tol"},
-	{"backend", "correct"},
-	{"backend", "counts"},
-	{"threads", "law-quant"}, // collide only through -engine census, already rejected
-	{"threads", "census-tol"},
-	{"threads", "correct"},
-	{"threads", "counts"},
-	{"law-quant", "census-tol"}, // the two census knobs compose
-	{"law-quant", "correct"},
-	{"law-quant", "counts"},
-	{"census-tol", "correct"},
-	{"census-tol", "counts"},
-	// The observability flags are write-only telemetry (DESIGN.md §2):
-	// serving /metrics composes with every engine, backend and knob,
-	// and -metrics-linger conflicts only with a missing -metrics-addr
-	// (rejected above).
-	{"metrics-addr", "engine"},
-	{"metrics-addr", "backend"},
-	{"metrics-addr", "threads"},
-	{"metrics-addr", "law-quant"},
-	{"metrics-addr", "census-tol"},
-	{"metrics-addr", "correct"},
-	{"metrics-addr", "counts"},
-	{"metrics-linger", "engine"},
-	{"metrics-linger", "backend"},
-	{"metrics-linger", "threads"},
-	{"metrics-linger", "law-quant"},
-	{"metrics-linger", "census-tol"},
-	{"metrics-linger", "correct"},
-	{"metrics-linger", "counts"},
-	// Sharding composes with every engine and knob — shards are plain
-	// index-residue slices of the same deterministic sweep — and its
-	// one real dependency (-shard needs -checkpoint) is rejected above.
-	// -checkpoint itself only became conflict-participating through
-	// that rule; it composes with everything else.
-	{"shard", "engine"},
-	{"shard", "backend"},
-	{"shard", "threads"},
-	{"shard", "law-quant"},
-	{"shard", "census-tol"},
-	{"shard", "correct"},
-	{"shard", "counts"},
-	{"shard", "metrics-addr"},
-	{"shard", "metrics-linger"},
-	{"checkpoint", "engine"},
-	{"checkpoint", "backend"},
-	{"checkpoint", "threads"},
-	{"checkpoint", "law-quant"},
-	{"checkpoint", "census-tol"},
-	{"checkpoint", "correct"},
-	{"checkpoint", "counts"},
-	{"checkpoint", "metrics-addr"},
-	{"checkpoint", "metrics-linger"},
-}
-
-// FlagUniverses lists, per CLI, the flags that participate in the
-// shared rejection table. Each CLI's tests assert its registered
-// flag set matches this declaration, so adding a flag to a binary
-// without classifying its interactions fails the build's tests.
-var FlagUniverses = map[string][]string{
-	"noisyrumor": {
-		"n", "k", "eps", "seed", "trace", "matrix", "counts", "correct",
-		"engine", "backend", "threads", "law-quant", "census-tol",
-	},
-	"experiments": {
-		"run", "seed", "quick", "writefile", "write", "csvdir", "workers",
-		"backend", "engine", "threads", "law-quant", "census-tol",
-		"metrics-addr", "trace-out",
-	},
-	// The sweep modes share one conflict-participating flag set
-	// (registerCommon); mode-specific flags are pure value parameters.
-	"sweep": {
-		"seed", "workers", "checkpoint", "json", "engine", "law-quant", "census-tol",
-		"metrics-addr", "trace-out", "metrics-linger", "shard",
-	},
-}
-
-// CheckFlags applies the shared rejection table to s, considering
-// only rules whose Flag and Against both belong to the calling CLI's
-// flag universe, and returns the first rejection as an error.
-func CheckFlags(s FlagState, universe []string) error {
-	have := make(map[string]bool, len(universe))
-	for _, f := range universe {
-		have[f] = true
-	}
-	for _, r := range FlagRejections {
-		if have[r.Flag] && have[r.Against] && r.When(s) {
-			return fmt.Errorf("-%s %s; %s", r.Flag, r.Reason, r.Hint)
-		}
+// CheckEngineFlags rejects the engine-knob flag combinations that
+// several CLIs share, instead of silently ignoring the losing flag.
+// set holds the flags passed on the command line (flag.FlagSet.Visit,
+// not defaults), so a rule can only fire on a flag the calling CLI
+// registers. census reports that the resolved engine is the aggregate
+// census engine and backend names the resolved per-node backend.
+// censusKnobs exempts -law-quant and -census-tol when they reach a
+// census run whatever the engine (the experiments CLI's sweep-driven
+// E21/E22 with no explicit -engine). The first matching rule wins.
+func CheckEngineFlags(set map[string]bool, census, censusKnobs bool, backend string) error {
+	switch {
+	case set["backend"] && census:
+		return errors.New("-backend has no effect with -engine census (the aggregate engine has no per-node sampling to select); drop -backend or pick a per-node engine")
+	case set["threads"] && census:
+		return errors.New("-threads has no effect with -engine census (the aggregate engine has no per-node sampling to parallelize); drop -threads or pick a per-node engine (trial parallelism is -workers where available)")
+	case set["threads"] && backend != "parallel":
+		return errors.New("-threads only applies to -backend parallel; add -backend parallel or drop -threads")
+	case set["law-quant"] && !census && !censusKnobs:
+		return errors.New("-law-quant applies to the census engine only (per-node engines evaluate no aggregate Stage-2 law); add -engine census or drop the flag")
+	case set["census-tol"] && !census && !censusKnobs:
+		return errors.New("-census-tol applies to the census engine only (per-node engines have no truncation tolerance); add -engine census or drop the flag")
 	}
 	return nil
-}
-
-// ConflictFlags returns the sorted set of flags participating in
-// FlagRejections — the set the pair coverage test closes over.
-func ConflictFlags() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range FlagRejections {
-		for _, f := range [2]string{r.Flag, r.Against} {
-			if !seen[f] {
-				seen[f] = true
-				out = append(out, f)
-			}
-		}
-	}
-	return out
 }

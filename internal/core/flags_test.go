@@ -1,160 +1,43 @@
 package core
 
 import (
-	"sort"
 	"strings"
 	"testing"
 )
 
-func pairKey(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "×" + b
-}
-
-// TestFlagPairCoverage: every unordered pair of conflict-participating
-// flags is classified exactly once — by a FlagRejections entry or a
-// FlagIndependent entry. Adding a flag to the rejection table without
-// classifying its interactions against every other participating flag
-// fails here.
-func TestFlagPairCoverage(t *testing.T) {
-	rejected := map[string]bool{}
-	for _, r := range FlagRejections {
-		key := pairKey(r.Flag, r.Against)
-		rejected[key] = true
-	}
-	independent := map[string]bool{}
-	for _, p := range FlagIndependent {
-		key := pairKey(p[0], p[1])
-		if independent[key] {
-			t.Errorf("FlagIndependent lists %s twice", key)
-		}
-		if rejected[key] {
-			t.Errorf("%s is classified both rejected and independent", key)
-		}
-		independent[key] = true
-	}
-	flags := ConflictFlags()
-	sort.Strings(flags)
-	for i, a := range flags {
-		for _, b := range flags[i+1:] {
-			key := pairKey(a, b)
-			if !rejected[key] && !independent[key] {
-				t.Errorf("flag pair %s is unclassified: add it to FlagRejections or FlagIndependent", key)
-			}
-		}
-	}
-	// No stale classifications for flags the table no longer uses.
-	known := map[string]bool{}
-	for _, f := range flags {
-		known[f] = true
-	}
-	for _, p := range FlagIndependent {
-		if !known[p[0]] || !known[p[1]] {
-			t.Errorf("FlagIndependent pair %s×%s names a flag absent from FlagRejections", p[0], p[1])
-		}
-	}
-}
-
-// TestFlagUniversesClosed: every flag a rejection rule can fire on
-// appears in at least one CLI's universe, and universes carry no
-// duplicates.
-func TestFlagUniversesClosed(t *testing.T) {
-	inSome := map[string]bool{}
-	for cli, flags := range FlagUniverses {
-		seen := map[string]bool{}
-		for _, f := range flags {
-			if seen[f] {
-				t.Errorf("%s universe lists %q twice", cli, f)
-			}
-			seen[f] = true
-			inSome[f] = true
-		}
-	}
-	for _, f := range ConflictFlags() {
-		if !inSome[f] {
-			t.Errorf("conflict flag %q appears in no CLI universe", f)
-		}
-	}
-}
-
 func TestCheckFlags(t *testing.T) {
-	all := ConflictFlags()
+	type flags = map[string]bool
 	cases := []struct {
-		name    string
-		state   FlagState
-		flags   []string
-		wantSub string // "" = accept
+		name        string
+		set         flags
+		census      bool
+		censusKnobs bool
+		backend     string
+		wantSub     string // "" = accept
 	}{
-		{
-			name:    "backend with census engine",
-			state:   FlagState{Set: map[string]bool{"backend": true}, CensusEngine: true, Backend: "parallel"},
-			flags:   all,
-			wantSub: "-backend",
-		},
-		{
-			name:    "threads with census engine",
-			state:   FlagState{Set: map[string]bool{"threads": true}, CensusEngine: true},
-			flags:   all,
-			wantSub: "-threads",
-		},
-		{
-			name:    "threads without parallel backend",
-			state:   FlagState{Set: map[string]bool{"threads": true}, Backend: "batch"},
-			flags:   all,
-			wantSub: "-backend parallel",
-		},
-		{
-			name:  "threads with parallel backend",
-			state: FlagState{Set: map[string]bool{"threads": true, "backend": true}, Backend: "parallel"},
-			flags: all,
-		},
-		{
-			name:    "law-quant on a per-node engine",
-			state:   FlagState{Set: map[string]bool{"law-quant": true}},
-			flags:   all,
-			wantSub: "-law-quant",
-		},
-		{
-			name:  "law-quant reaches a sweep-driven census run",
-			state: FlagState{Set: map[string]bool{"law-quant": true}, SweepDriven: true},
-			flags: all,
-		},
-		{
-			name:  "law-quant with census engine",
-			state: FlagState{Set: map[string]bool{"law-quant": true, "census-tol": true}, CensusEngine: true},
-			flags: all,
-		},
-		{
-			name:    "census-tol on a per-node engine",
-			state:   FlagState{Set: map[string]bool{"census-tol": true}},
-			flags:   all,
-			wantSub: "-census-tol",
-		},
-		{
-			name:    "correct with counts",
-			state:   FlagState{Set: map[string]bool{"correct": true, "counts": true}},
-			flags:   all,
-			wantSub: "-correct",
-		},
-		{
-			name:  "rules outside the universe never fire",
-			state: FlagState{Set: map[string]bool{"threads": true}, Backend: "loop"},
-			flags: []string{"seed", "workers"},
-		},
+		{name: "backend with census engine", set: flags{"backend": true}, census: true, backend: "parallel", wantSub: "-backend"},
+		{name: "threads with census engine", set: flags{"threads": true}, census: true, wantSub: "-threads"},
+		{name: "threads without parallel backend", set: flags{"threads": true}, backend: "batch", wantSub: "-backend parallel"},
+		{name: "threads with parallel backend", set: flags{"threads": true, "backend": true}, backend: "parallel"},
+		{name: "law-quant on a per-node engine", set: flags{"law-quant": true}, wantSub: "-law-quant"},
+		{name: "law-quant reaches a sweep-driven census run", set: flags{"law-quant": true}, censusKnobs: true},
+		{name: "law-quant with census engine", set: flags{"law-quant": true, "census-tol": true}, census: true},
+		{name: "census-tol on a per-node engine", set: flags{"census-tol": true}, wantSub: "-census-tol"},
+		// A rule fires only on a flag that was passed: the defaults of
+		// a per-node run on the loop backend are no conflict.
+		{name: "unset flags never fire", set: flags{"seed": true, "workers": true}, backend: "loop"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := CheckFlags(c.state, c.flags)
+			err := CheckEngineFlags(c.set, c.census, c.censusKnobs, c.backend)
 			if c.wantSub == "" {
 				if err != nil {
-					t.Fatalf("CheckFlags = %v; want accept", err)
+					t.Fatalf("CheckEngineFlags = %v; want accept", err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), c.wantSub) {
-				t.Fatalf("CheckFlags = %v; want rejection mentioning %q", err, c.wantSub)
+				t.Fatalf("CheckEngineFlags = %v; want rejection mentioning %q", err, c.wantSub)
 			}
 		})
 	}

@@ -2,9 +2,10 @@
 // stdlib-only metrics registry (atomic counters, gauges and fixed-
 // bucket histograms, optionally labeled), a Prometheus-text and JSON
 // expositor (expose.go), an NDJSON phase tracer (trace.go), an
-// injected-clock abstraction (clock.go) and a background HTTP server
+// injected-clock abstraction (clock.go), a background HTTP server
 // exposing /metrics, /metrics.json, /healthz and net/http/pprof
-// (serve.go).
+// (serve.go), and Open, the one place a CLI's -metrics-addr and
+// -trace-out become sinks (sinks.go).
 //
 // The package exists to reconcile two contracts that pull in opposite
 // directions:
