@@ -3,6 +3,7 @@ package census
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 	"testing"
 
@@ -52,6 +53,90 @@ func TestMajorityLawBinomialIdentity(t *testing.T) {
 	}
 	if math.Abs(r[0]+r[1]-1) > 1e-9+dropped {
 		t.Fatalf("k=2 law does not sum to 1: %v", r)
+	}
+}
+
+// exactBinaryPrec is the math/big precision of the exact k = 2 oracle:
+// its row takes three roundings per entry, so at ℓ = 4001 the oracle's
+// own error stays below 2⁻²⁸⁰ relative.
+const exactBinaryPrec = 300
+
+// exactBinaryRow returns Pr(Binomial(ℓ, p) = m) for m = 0…ℓ at
+// exactBinaryPrec bits, p = q₀/(q₀+q₁) taken exactly from the float
+// inputs: (1−p)^ℓ, then the two-term recurrence
+// pmf(m+1) = pmf(m)·(ℓ−m)/(m+1)·p/(1−p).
+func exactBinaryRow(q0, q1 float64, ell int) []*big.Float {
+	nf := func() *big.Float { return new(big.Float).SetPrec(exactBinaryPrec) }
+	p := nf().Quo(nf().SetFloat64(q0), nf().Add(nf().SetFloat64(q0), nf().SetFloat64(q1)))
+	p1 := nf().Sub(nf().SetInt64(1), p)
+	odds := nf().Quo(p, p1)
+	row := make([]*big.Float, ell+1)
+	row[0] = nf().SetInt64(1)
+	for range ell {
+		row[0].Mul(row[0], p1)
+	}
+	for m := 0; m < ell; m++ {
+		v := nf().Mul(row[m], nf().SetInt64(int64(ell-m)))
+		v.Quo(v, nf().SetInt64(int64(m+1)))
+		row[m+1] = v.Mul(v, odds)
+	}
+	return row
+}
+
+// TestBinaryLawMatchesExactTail holds the k = 2 law to an exact
+// evaluation of the same row in math/big, ℓ up to 4001 and every fuzz
+// tolerance. The oracle classifies each entry by its float64 value as
+// the law does: zero is no mass, below mCut is dropped, and otherwise
+// opinion 0 wins (2m > ℓ), opinion 1 wins (2m < ℓ) or the two tie
+// u.a.r. (2m = ℓ). A tie below the cut may be charged once or once per
+// winner. Each pool sums to 1 exactly (q₁ = 1 − p rounded, q₀ = 1 − q₁
+// without rounding), so a per-winner row Binomial(ℓ, q_j) and the row
+// of opinion 0's count describe one law; with q₁ = 1 − 10⁻⁶ rounded and
+// q₀ = 10⁻⁶ they would differ by 6·10⁻¹¹ in each factor 1 − q₁. The
+// bounds are about twice the per-winner evaluation's worst cases here,
+// 2.1·10⁻¹² in r and 4.1·10⁻¹² relative in dropped, both at ℓ = 4001,
+// where ln ℓ! ≈ 2.9·10⁴ sets the rounding of each log-space term.
+func TestBinaryLawMatchesExactTail(t *testing.T) {
+	for _, ell := range []int{11, 16, 33, 87, 259, 665, 2001, 4001} {
+		for _, p := range []float64{1e-6, 0.3, 0.48, 0.5, 0.5001, 0.52, 0.55, 0.9, 0.999} {
+			q1 := 1 - p
+			q := []float64{1 - q1, q1}
+			row := exactBinaryRow(q[0], q[1], ell)
+			for _, tol := range lawFuzzTols {
+				mCut := tol / (4 * float64(ell+1))
+				var win [2]big.Float
+				var dropped, subTie big.Float
+				for m, v := range row {
+					switch f, _ := v.Float64(); {
+					case f == 0:
+					case f < mCut:
+						dropped.Add(&dropped, v)
+						if 2*m == ell {
+							subTie.Set(v)
+						}
+					case 2*m > ell:
+						win[0].Add(&win[0], v)
+					case 2*m < ell:
+						win[1].Add(&win[1], v)
+					default:
+						half := new(big.Float).Quo(v, big.NewFloat(2))
+						win[0].Add(&win[0], half)
+						win[1].Add(&win[1], half)
+					}
+				}
+				r, gd := MajorityLaw(q, ell, tol)
+				for j := range r {
+					if want, _ := win[j].Float64(); math.Abs(r[j]-want) > 4e-12 {
+						t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %.17g, exact %.17g (off %.3g)", q, ell, tol, j, r[j], want, r[j]-want)
+					}
+				}
+				lo, _ := dropped.Float64()
+				hi, _ := dropped.Add(&dropped, &subTie).Float64()
+				if gd < lo*(1-1e-11) || gd > hi*(1+1e-11) {
+					t.Errorf("q=%v ℓ=%d tol=%g: dropped = %.17g, exact %.17g (%.17g with the sub-cut tie charged twice)", q, ell, tol, gd, lo, hi)
+				}
+			}
+		}
 	}
 }
 
