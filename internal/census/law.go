@@ -1,6 +1,7 @@
 package census
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -194,50 +195,6 @@ func (ev *lawEvaluator) eval(q []float64, ell int, tol float64) ([]float64, floa
 		return ev.evalTernary(q, ell, mCut, stateCut, r)
 	}
 	return ev.evalPoisson(q, ell, mCut, stateCut, r)
-}
-
-// evalBinary is the k = 2 analytic fast path: the single rival absorbs
-// all remaining balls, so conditional on Y_j = m the outcome is
-// deterministic — a strict win for m > ℓ−m, a two-way u.a.r. tie at
-// m = ℓ−m, a loss below — and the law is the plain binomial tail of
-// TestMajorityLawBinomialIdentity. The count loop starts at the same
-// sure-loss floor ⌈ℓ/2⌉ as the rival DP's (evalGeneral, kept as the
-// test reference in law_dp_test.go), and every branch mirrors a branch
-// of its winProb (the balls == 0 early return) with the same float
-// arithmetic, so the path is bit-identical to the DP at any tolerance.
-// winProb's prune of its unit root state needs no mirror: it bites only
-// when the state cut exceeds 1, and then the count cut, k times larger,
-// exceeds every pm, so no count reaches it.
-func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut float64, r []float64) ([]float64, float64) {
-	dropped := 0.0
-	lf := lfact()
-	for j := 0; j < 2; j++ {
-		p := q[j]
-		if p == 0 {
-			continue
-		}
-		lp, lq := math.Log(p), math.Log1p(-p)
-		for m := (ell + 1) / 2; m <= ell; m++ {
-			pm := binomPMF(lf, ell, m, p, lp, lq)
-			if pm == 0 {
-				continue
-			}
-			if pm < mCut {
-				dropped += pm
-				continue
-			}
-			balls := ell - m
-			switch {
-			case balls == 0:
-				r[j] += pm // winProb's ball-free strict win
-			case balls == m:
-				r[j] += pm * 0.5 // two-way tie, broken u.a.r.
-			default:
-				r[j] += pm // strict win
-			}
-		}
-	}
-	return r, dropped
 }
 
 // evalTernary is the k = 3 fast path: the rival DP's count loop
@@ -920,4 +877,76 @@ func bd0(x, lam float64) float64 {
 		return s
 	}
 	return x*math.Log(x/lam) + lam - x
+}
+
+// evalBinary is the k = 2 path. The single rival absorbs every ball
+// the winner leaves, so the law is one row, Binomial(ℓ, p) with
+// p = q₀/(q₀+q₁), of opinion 0's count m: opinion 0 wins at 2m > ℓ,
+// opinion 1 at 2m < ℓ, and at 2m = ℓ the two tie, broken u.a.r. The
+// row is evaluated once at its mode (binomSaddle) and extended by
+// binomRow's two-term recurrence in both directions until it
+// underflows: one Exp per evaluation where a pmf per winning count
+// took one each. An entry below mCut is dropped, whichever opinion it
+// would have elected, as the per-winner count loops dropped it; a
+// dropped tie is charged once, where they charged it once per winner.
+// The law is pinned to an exact evaluation of the row
+// (TestBinaryLawMatchesExactTail) and to the rival DP within the two
+// dropped masses.
+func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut float64, r []float64) ([]float64, float64) {
+	s := q[0] + q[1]
+	odds := q[0] / q[1]
+	mode := min(int(float64(ell+1)*(q[0]/s)), ell)
+	center := binomSaddle(lfact(), ell, mode, q[0]/s, q[1]/s)
+	// won[c+1] sums the kept entries m with c = sign(2m − ℓ): opinion
+	// 1's wins, the tie, opinion 0's wins.
+	var won [3]float64
+	dropped := 0.0
+	credit := func(m int, v float64) {
+		if v < mCut {
+			dropped += v
+		} else {
+			won[cmp.Compare(2*m, ell)+1] += v
+		}
+	}
+	credit(mode, center)
+	v := center
+	for m := mode - 1; m >= 0 && v > 0; m-- {
+		// pmf(m) = pmf(m+1)·(m+1)/((ℓ−m)·odds)
+		v *= float64(m+1) / (float64(ell-m) * odds)
+		credit(m, v)
+	}
+	v = center
+	for m := mode + 1; m <= ell && v > 0; m++ {
+		// pmf(m) = pmf(m−1)·(ℓ−m+1)/m·odds
+		v *= float64(ell-m+1) / float64(m) * odds
+		credit(m, v)
+	}
+	r[0] = won[2] + won[1]/2
+	r[1] = won[0] + won[1]/2
+	return r, dropped
+}
+
+// binomSaddle returns Pr(Binomial(n, p) = x), p + pc = 1, in Loader's
+// saddle-point form, the binomial counterpart of poissonPMF: with
+// λ = np and μ = n·pc it is Pois(x; λ)·Pois(n−x; μ) ÷ Pois(n; n), so
+//
+//	ln = stirlerr(n) − stirlerr(x) − stirlerr(n−x) − bd0(x, λ) − bd0(n−x, μ) − ½ln(2πx(n−x)/n),
+//
+// and e^(−λ)·e^(−bd0(n, μ)) at x = 0 (e^(−μ)·e^(−bd0(n, λ)) at x = n).
+// No term is of order ln n!, so the rounding does not grow with n:
+// binomPMF's ln Γ differences put ulp(ln 4001!) ≈ 4·10⁻¹² of relative
+// error into the row's centre at ℓ = 4001, and the recurrence carries
+// it into every entry.
+func binomSaddle(lf []float64, n, x int, p, pc float64) float64 {
+	fn, fx := float64(n), float64(x)
+	lam, mu := fn*p, fn*pc
+	switch x {
+	case 0:
+		return math.Exp(-lam - bd0(fn, mu))
+	case n:
+		return math.Exp(-mu - bd0(fn, lam))
+	}
+	fy := fn - fx
+	lc := stirlerr(lf, n) - stirlerr(lf, x) - stirlerr(lf, n-x) - bd0(fx, lam) - bd0(fy, mu)
+	return math.Exp(lc) * math.Sqrt(fn/(2*math.Pi*fx*fy))
 }

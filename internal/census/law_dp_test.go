@@ -3,10 +3,11 @@ package census
 // This file holds the general winner×count rival DP (evalGeneral,
 // winProb and their tie-major f/g scratch) on the production
 // majorityDP's setWinner and binomRow. It is the reference the law is
-// tested against: the k ≤ 3 and point-mass fast paths must match it bit
-// for bit, r and dropped alike, and the k ≥ 4 Poissonized path within
-// the two evaluations' dropped masses. Its own r is pinned bit for bit
-// to the older frozen evaluator of law_ref_test.go.
+// tested against: the k = 3 and point-mass fast paths must match it bit
+// for bit, r and dropped alike, and the k = 2 row walk and the k ≥ 4
+// Poissonized path within the two evaluations' dropped masses. Its own
+// r is pinned bit for bit to the older frozen evaluator of
+// law_ref_test.go.
 
 import "math"
 

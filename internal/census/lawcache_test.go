@@ -168,22 +168,19 @@ func TestQuantBudgetDominatesLawTV(t *testing.T) {
 	}
 }
 
-// TestFastPathsBitIdenticalToDP pins the fast paths bit for bit, r and
-// dropped alike, against the general winner×count DP they replace — the
-// guarantee that lets `-law-quant 0` engines keep reproducing
-// pre-fast-path trajectories exactly — at every fuzz tolerance.
+// TestFastPathsBitIdenticalToDP pins the k = 3 pass and the point-mass
+// path bit for bit, r and dropped alike, against the general
+// winner×count DP they replace — the guarantee that keeps every k = 3
+// trajectory of a `-law-quant 0` engine exactly as before — at every
+// fuzz tolerance. The k = 2 row walk sums the same terms in another
+// order from one saddle-point centre, so it is held to the DP within
+// the two dropped masses (TestBinaryLawWithinDP).
 func TestFastPathsBitIdenticalToDP(t *testing.T) {
 	third := 1.0 / 3
 	cases := []struct {
 		q   []float64
 		ell int
 	}{
-		// k = 2, odd and even ℓ, skewed and near-tied.
-		{[]float64{0.7, 0.3}, 11},
-		{[]float64{0.55, 0.45}, 665},
-		{[]float64{0.5, 0.5}, 16},
-		{[]float64{0.999, 0.001}, 33},
-		{[]float64{1, 0}, 9},
 		// k = 3, uniform: the first rival's window holds entries that tie
 		// it with the winner (a = m), that tie the second rival
 		// (R − a = m), and, at m = ℓ/3, both at once.
@@ -203,7 +200,8 @@ func TestFastPathsBitIdenticalToDP(t *testing.T) {
 		{[]float64{0.36, 0.32, 0.32}, 57},
 		{[]float64{0.8, 0.15, 0.05}, 665},
 		{[]float64{0.34, 0.33, 0.33}, 665},
-		// Point masses at k ≥ 3.
+		// Point masses.
+		{[]float64{1, 0}, 9},
 		{[]float64{1, 0, 0}, 5},
 		{[]float64{0, 0, 1, 0}, 81},
 	}
@@ -224,13 +222,34 @@ func TestFastPathsBitIdenticalToDP(t *testing.T) {
 	}
 }
 
+// TestBinaryLawWithinDP holds the k = 2 law to the rival DP within the
+// two dropped masses (checkWithinDP) on the pools the bit pin used to
+// cover: odd and even ℓ, skewed and near-tied, at every fuzz tolerance.
+func TestBinaryLawWithinDP(t *testing.T) {
+	for _, c := range []struct {
+		q   []float64
+		ell int
+	}{
+		{[]float64{0.7, 0.3}, 11},
+		{[]float64{0.55, 0.45}, 665},
+		{[]float64{0.5, 0.5}, 16},
+		{[]float64{0.999, 0.001}, 33},
+	} {
+		for _, tol := range lawFuzzTols {
+			got, gd := MajorityLaw(c.q, c.ell, tol)
+			dr, dd := dpLaw(c.q, c.ell, tol)
+			checkWithinDP(t, c.q, c.ell, tol, got, gd, dr, dd)
+		}
+	}
+}
+
 // TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
 // return the exact floats of a fresh one (the allocating wrapper), r
 // and dropped alike, across reuse at varying (k, ℓ, q, tol); and
-// against the references, k ≤ 3 the r of the frozen evaluator of
+// against the references, k = 3 the r of the frozen evaluator of
 // law_ref_test.go bit for bit, with dropped never above its (the
-// sure-loss floors charge less, never more), and k ≥ 4 the rival DP
-// within the two dropped masses. Stale scratch is the way this can
+// sure-loss floors charge less, never more), and k = 2 and k ≥ 4 the
+// rival DP within the two dropped masses. Stale scratch is the way this can
 // fail: every row, prefix, suffix and cap-free product is read only
 // inside the window or band the same evaluation wrote. So the sequence
 // shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81, and
@@ -285,7 +304,7 @@ func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v vs fresh %v", c.q, c.ell, c.tol, j, got[j], want[j])
 			}
 		}
-		if len(c.q) >= 4 {
+		if len(c.q) != 3 {
 			dr, dd := dpLaw(c.q, c.ell, c.tol)
 			checkWithinDP(t, c.q, c.ell, c.tol, got, gd, dr, dd)
 			continue
