@@ -131,7 +131,8 @@ func (c commonFlags) validate() error {
 // while jitter stays seeded, so a retried run's results are unchanged.
 // It also opens the sinks -metrics-addr and -trace-out ask for (nil
 // without either flag, leaving the runner uninstrumented); the caller
-// closes them with closeSinks after the run.
+// validates its spec first, so a rejected spec never truncates a trace
+// file, and closes the sinks with closeSinks after the run.
 func (c commonFlags) runner(out io.Writer) (sweep.Runner, *census.LawCache, *obs.Sinks, error) {
 	var cache *census.LawCache
 	if *c.lawQuant > 0 {
@@ -276,6 +277,9 @@ func runGrid(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("-c: %w", err)
 		}
 	}
+	if err := g.Validate(); err != nil {
+		return err
+	}
 	r, cache, sinks, err := common.runner(out)
 	if err != nil {
 		return err
@@ -338,6 +342,9 @@ func runBisect(args []string, out io.Writer) (err error) {
 		Matrix: *matrix, K: *k, N: nv[0], Delta: *delta, ProtoEps: *protoEps, C: *c,
 		Lo: *lo, Hi: *hi, Tol: *tol, Trials: *trials, Batch: *batch, MaxEvals: *maxEvals,
 		Engine: engineName(*common.engine), LawQuant: *common.lawQuant, CensusTol: *common.censusTol,
+	}
+	if err := b.Validate(); err != nil {
+		return err
 	}
 	r, cache, sinks, err := common.runner(out)
 	if err != nil {
@@ -406,6 +413,9 @@ func runScaling(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("-decades: %w", err)
 		}
 		s.Ns = sweep.Decades(lo, hi)
+	}
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	r, cache, sinks, err := common.runner(out)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -129,9 +130,86 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"merge", "-out", "m.json"},
 	}
 	for _, args := range cases {
-		if err := run(args, io.Discard); err == nil {
+		err := run(args, io.Discard)
+		if err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
+		// main prefixes "sweep:" once; the message must not repeat it.
+		if strings.Contains(err.Error(), "sweep:") {
+			t.Errorf("args %v: main would print %q", args, "sweep: "+err.Error())
+		}
+	}
+	// A journal written by another sweep is rejected with one prefix too.
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	grid := []string{"grid", "-matrix", "uniform", "-k", "3", "-eps", "0.3", "-delta", "0.1",
+		"-n", "2000", "-trials", "1", "-checkpoint", ck}
+	if err := run(grid, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	err := run(append(grid, "-seed", "2"), io.Discard)
+	if err == nil || strings.Contains(err.Error(), "sweep:") || !strings.Contains(err.Error(), "different sweep") {
+		t.Errorf("journal of another sweep: main would print %q", "sweep: "+fmt.Sprint(err))
+	}
+}
+
+// TestRejectedSpecHasNoSideEffects: a spec the sweep package rejects
+// fails before cmd/sweep opens its trace or its checkpoint. A
+// pre-written trace and a pre-written journal stay byte for byte, a
+// fresh checkpoint path is not created, and the corrected command then
+// runs against the same files.
+func TestRejectedSpecHasNoSideEffects(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		bad, good []string
+	}{
+		{"unknown matrix",
+			[]string{"grid", "-matrix", "warp", "-k", "3", "-eps", "0.3", "-delta", "0.1", "-n", "2000", "-trials", "2"},
+			[]string{"grid", "-matrix", "uniform", "-k", "3", "-eps", "0.3", "-delta", "0.1", "-n", "2000", "-trials", "2"}},
+		{"inverted bracket",
+			[]string{"bisect", "-matrix", "binary", "-k", "2", "-n", "1e4", "-delta", "0.05", "-proto-eps", "0.4",
+				"-lo", "0.3", "-hi", "0.1", "-tol", "0.05", "-trials", "24", "-seed", "3"},
+			[]string{"bisect", "-matrix", "binary", "-k", "2", "-n", "1e4", "-delta", "0.05", "-proto-eps", "0.4",
+				"-lo", "0.1", "-hi", "0.3", "-tol", "0.05", "-trials", "24", "-seed", "3"}},
+		{"bad channel",
+			[]string{"scaling", "-matrix", "uniform", "-k", "3", "-eps", "2", "-decades", "3-4", "-trials", "2"},
+			[]string{"scaling", "-matrix", "uniform", "-k", "3", "-eps", "0.3", "-decades", "3-4", "-trials", "2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			trace, journal, fresh := filepath.Join(dir, "trace.ndjson"), filepath.Join(dir, "ck.json"), filepath.Join(dir, "fresh.json")
+			if err := run(append(c.good, "-checkpoint", journal), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(trace, []byte("an earlier run's trace\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := map[string][]byte{}
+			for _, p := range []string{trace, journal} {
+				b, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[p] = b
+			}
+			for _, ck := range []string{journal, fresh} {
+				if err := run(append(c.bad, "-trace-out", trace, "-checkpoint", ck), io.Discard); err == nil {
+					t.Fatalf("%v accepted", c.bad)
+				}
+			}
+			for p, want := range before {
+				if got, err := os.ReadFile(p); err != nil || string(got) != string(want) {
+					t.Errorf("%s changed by a rejected run (err %v)", filepath.Base(p), err)
+				}
+			}
+			if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+				t.Errorf("a rejected run created its checkpoint (stat: %v)", err)
+			}
+			for _, ck := range []string{journal, fresh} {
+				if err := run(append(c.good, "-trace-out", trace, "-checkpoint", ck), io.Discard); err != nil {
+					t.Errorf("corrected run against %s: %v", filepath.Base(ck), err)
+				}
+			}
+		})
 	}
 }
 

@@ -96,20 +96,27 @@ func (r *BisectResult) Contains(eps float64) bool {
 	return eps >= r.BandLo-slack && eps <= r.BandHi+slack
 }
 
-func (b Bisect) validate() error {
+// Validate reports the first error RunBisect would meet before its
+// first trial: a bad protocol ε, bracket, tolerance or trial budget, or
+// a matrix, initial census, schedule or engine that does not resolve at
+// the bracket's ends (see checkPoints; every family's valid channel
+// parameters form an interval, so the midpoints resolve too). It runs
+// no trial and touches no file; RunBisect calls it before it opens the
+// checkpoint.
+func (b Bisect) Validate() error {
 	if b.ProtoEps <= 0 || b.ProtoEps > 1 {
-		return fmt.Errorf("sweep: bisect needs protocol ε ∈ (0,1], got %v", b.ProtoEps)
+		return fmt.Errorf("bisect needs protocol ε ∈ (0,1], got %v", b.ProtoEps)
 	}
 	if !(b.Lo < b.Hi) {
-		return fmt.Errorf("sweep: bisect needs lo < hi, got [%v, %v]", b.Lo, b.Hi)
+		return fmt.Errorf("bisect needs lo < hi, got [%v, %v]", b.Lo, b.Hi)
 	}
 	if b.Tol <= 0 {
-		return fmt.Errorf("sweep: bisect needs tol > 0, got %v", b.Tol)
+		return fmt.Errorf("bisect needs tol > 0, got %v", b.Tol)
 	}
 	if b.Trials < 1 {
-		return fmt.Errorf("sweep: bisect needs trials ≥ 1, got %d", b.Trials)
+		return fmt.Errorf("bisect needs trials ≥ 1, got %d", b.Trials)
 	}
-	return nil
+	return checkPoints([]Point{b.point(0, b.Lo), b.point(1, b.Hi)})
 }
 
 // point materializes the evaluation at channel ε with eval index idx.
@@ -143,7 +150,7 @@ func (r Runner) RunBisect(b Bisect) (*BisectResult, error) {
 	if err := r.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	if err := b.validate(); err != nil {
+	if err := b.Validate(); err != nil {
 		return nil, err
 	}
 	maxEvals := b.MaxEvals
@@ -173,7 +180,7 @@ func (r Runner) RunBisect(b Bisect) (*BisectResult, error) {
 				// the adaptive search cannot continue past a failed
 				// evaluation — re-run to retry it.
 				_ = r.putCheckpoint(ck, idx, pr)
-				return BisectEval{}, fmt.Errorf("sweep: bisect eval %d (ε=%v) quarantined after trial %d: %s; the adaptive search cannot continue past a failed evaluation — re-run to retry it",
+				return BisectEval{}, fmt.Errorf("bisect eval %d (ε=%v) quarantined after trial %d: %s; the adaptive search cannot continue past a failed evaluation — re-run to retry it",
 					idx, eps, pr.Error.Trial, pr.Error.Msg)
 			}
 			if err := r.putCheckpoint(ck, idx, pr); err != nil {
@@ -210,7 +217,7 @@ func (r Runner) RunBisect(b Bisect) (*BisectResult, error) {
 		return nil, err
 	}
 	if loEval.Result.SuccessRate >= 0.5 || hiEval.Result.SuccessRate <= 0.5 {
-		return nil, fmt.Errorf("sweep: bisect bracket [%v, %v] does not straddle 1/2 (success %0.2f and %0.2f); widen it",
+		return nil, fmt.Errorf("bisect bracket [%v, %v] does not straddle 1/2 (success %0.2f and %0.2f); widen it",
 			b.Lo, b.Hi, loEval.Result.SuccessRate, hiEval.Result.SuccessRate)
 	}
 	lo, hi := b.Lo, b.Hi
@@ -253,7 +260,7 @@ func (r Runner) RunBisect(b Bisect) (*BisectResult, error) {
 // bracketed.
 func LPBoundary(matrix string, k int, protoEps, delta, lo, hi float64) (float64, error) {
 	if delta <= 0 || delta > 1 {
-		return 0, fmt.Errorf("sweep: LPBoundary needs δ ∈ (0,1], got %v", delta)
+		return 0, fmt.Errorf("LPBoundary needs δ ∈ (0,1], got %v", delta)
 	}
 	maxEps := func(ch float64) (float64, error) {
 		nm, err := BuildMatrix(matrix, k, ch)
@@ -271,7 +278,7 @@ func LPBoundary(matrix string, k int, protoEps, delta, lo, hi float64) (float64,
 		return 0, err
 	}
 	if atLo >= protoEps || atHi <= protoEps {
-		return 0, fmt.Errorf("sweep: LP boundary for ε=%v not bracketed by channel range [%v, %v] (max m.p. ε %v and %v)",
+		return 0, fmt.Errorf("LP boundary for ε=%v not bracketed by channel range [%v, %v] (max m.p. ε %v and %v)",
 			protoEps, lo, hi, atLo, atHi)
 	}
 	for i := 0; i < 60; i++ {

@@ -100,7 +100,7 @@ func readCheckpointFile(path string) (*checkpointFile, error) {
 		if os.IsNotExist(err) {
 			return nil, err
 		}
-		return nil, classifyOpen(fmt.Errorf("sweep: read checkpoint: %w", err))
+		return nil, classifyOpen(fmt.Errorf("read checkpoint: %w", err))
 	}
 	nl := bytes.IndexByte(data, '\n')
 	headerLine := data
@@ -110,12 +110,12 @@ func readCheckpointFile(path string) (*checkpointFile, error) {
 	cf := &checkpointFile{entries: map[int]checkpointEntry{}, canonical: true}
 	if err := json.Unmarshal(headerLine, &cf.header); err != nil {
 		if sniffSchema(data) == checkpointSchemaV1 {
-			return nil, fmt.Errorf("sweep: checkpoint %s uses the retired v1 format (one JSON document); this build reads the v2 line journal — delete the file and re-run, the sweep will recompute it", path)
+			return nil, fmt.Errorf("checkpoint %s uses the retired v1 format (one JSON document); this build reads the v2 line journal — delete the file and re-run, the sweep will recompute it", path)
 		}
-		return nil, fmt.Errorf("sweep: checkpoint %s: unreadable header at byte 0 (%v); without the header line the file cannot be identified, so no points can be salvaged — delete it (or restore a backup) and re-run to recompute", path, err)
+		return nil, fmt.Errorf("checkpoint %s: unreadable header at byte 0 (%v); without the header line the file cannot be identified, so no points can be salvaged — delete it (or restore a backup) and re-run to recompute", path, err)
 	}
 	if cf.header.Schema != checkpointSchema {
-		return nil, fmt.Errorf("sweep: checkpoint %s has schema %q, want %q", path, cf.header.Schema, checkpointSchema)
+		return nil, fmt.Errorf("checkpoint %s has schema %q, want %q", path, cf.header.Schema, checkpointSchema)
 	}
 	if nl < 0 {
 		// Header only, no newline: a write torn before the first entry.
@@ -190,7 +190,7 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: marshal checkpoint spec: %w", err)
+		return nil, fmt.Errorf("marshal checkpoint spec: %w", err)
 	}
 	ck := &checkpoint{
 		path: path,
@@ -210,11 +210,11 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 	if os.IsNotExist(err) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, classifyOpen(fmt.Errorf("sweep: create checkpoint: %w", err))
+			return nil, classifyOpen(fmt.Errorf("create checkpoint: %w", err))
 		}
 		if _, err := f.Write(ck.headerLine()); err != nil {
 			_ = f.Close()
-			return nil, resilience.Transient(fmt.Errorf("sweep: write checkpoint header: %w", err))
+			return nil, resilience.Transient(fmt.Errorf("write checkpoint header: %w", err))
 		}
 		ck.f = f
 		return ck, nil
@@ -226,7 +226,7 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 	if prev.Mode != mode || prev.Seed != seed || prev.Z != z ||
 		!shardEqual(prev.Shard, ck.header.Shard) ||
 		!bytes.Equal(canonicalJSON(prev.Spec), canonicalJSON(specJSON)) {
-		return nil, fmt.Errorf("sweep: checkpoint %s was written by a different sweep (mode/seed/z/shard/spec mismatch); delete it or change -checkpoint", path)
+		return nil, fmt.Errorf("checkpoint %s was written by a different sweep (mode/seed/z/shard/spec mismatch); delete it or change -checkpoint", path)
 	}
 	ck.entries = cf.entries
 	ck.salvaged = cf.salvaged
@@ -245,7 +245,7 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, classifyOpen(fmt.Errorf("sweep: reopen checkpoint: %w", err))
+		return nil, classifyOpen(fmt.Errorf("reopen checkpoint: %w", err))
 	}
 	ck.f = f
 	return ck, nil
@@ -337,10 +337,10 @@ func writeEntryLine(buf *bytes.Buffer, ent checkpointEntry) {
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return resilience.Transient(fmt.Errorf("sweep: write checkpoint: %w", err))
+		return resilience.Transient(fmt.Errorf("write checkpoint: %w", err))
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return resilience.Transient(fmt.Errorf("sweep: commit checkpoint: %w", err))
+		return resilience.Transient(fmt.Errorf("commit checkpoint: %w", err))
 	}
 	return nil
 }
@@ -378,7 +378,7 @@ func (c *checkpoint) put(key int, res PointResult) error {
 	}
 	data, err := json.Marshal(res)
 	if err != nil {
-		return fmt.Errorf("sweep: marshal checkpoint point %d: %w", key, err)
+		return fmt.Errorf("marshal checkpoint point %d: %w", key, err)
 	}
 	ent := checkpointEntry{Key: key, CRC: entryCRC(data), Result: data}
 	var buf bytes.Buffer
@@ -394,7 +394,7 @@ func (c *checkpoint) put(key int, res PointResult) error {
 		// The in-memory entry stays; the retry appends a fresh line and
 		// the possibly-torn one is compacted or salvaged away.
 		c.ordered = false
-		return resilience.Transient(fmt.Errorf("sweep: append checkpoint %s: %w", c.path, err))
+		return resilience.Transient(fmt.Errorf("append checkpoint %s: %w", c.path, err))
 	}
 	return nil
 }
@@ -418,7 +418,7 @@ func (c *checkpoint) close() error {
 	err := c.f.Close()
 	c.f = nil
 	if err != nil {
-		return resilience.Transient(fmt.Errorf("sweep: close checkpoint %s: %w", c.path, err))
+		return resilience.Transient(fmt.Errorf("close checkpoint %s: %w", c.path, err))
 	}
 	if c.ordered {
 		return nil

@@ -73,10 +73,10 @@ type GridResult struct {
 func (g Grid) Points() ([]Point, error) {
 	if len(g.Matrices) == 0 || len(g.Ks) == 0 || len(g.ChannelEps) == 0 ||
 		len(g.Deltas) == 0 || len(g.Ns) == 0 {
-		return nil, fmt.Errorf("sweep: grid needs at least one matrix, k, ε, δ and n")
+		return nil, fmt.Errorf("grid needs at least one matrix, k, ε, δ and n")
 	}
 	if g.Trials < 1 {
-		return nil, fmt.Errorf("sweep: grid needs trials ≥ 1, got %d", g.Trials)
+		return nil, fmt.Errorf("grid needs trials ≥ 1, got %d", g.Trials)
 	}
 	cs := g.Cs
 	if len(cs) == 0 {
@@ -114,6 +114,26 @@ func (g Grid) Points() ([]Point, error) {
 	return pts, nil
 }
 
+// Validate reports the first error RunGrid would meet before its first
+// trial: an empty axis or trial budget, or a point whose matrix,
+// initial census, schedule or engine does not resolve (see
+// checkPoints). It runs no trial and touches no file, so a caller can
+// check a spec before it opens trace sinks or journals of its own;
+// RunGrid calls it before it opens the checkpoint.
+func (g Grid) Validate() error {
+	_, err := g.resolve()
+	return err
+}
+
+// resolve enumerates the grid's points and checks them.
+func (g Grid) resolve() ([]Point, error) {
+	pts, err := g.Points()
+	if err != nil {
+		return nil, err
+	}
+	return pts, checkPoints(pts)
+}
+
 // RunGrid evaluates every grid point the runner's shard owns. With
 // Runner.Checkpoint set, each completed point is persisted and a
 // compatible existing file resumes where it left off; the final result
@@ -126,7 +146,7 @@ func (r Runner) RunGrid(g Grid) (*GridResult, error) {
 	if err := r.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	pts, err := g.Points()
+	pts, err := g.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +176,7 @@ func (r Runner) RunGrid(g Grid) (*GridResult, error) {
 		r.observePoint(pr, t0, !ok)
 		breaker.Record(pr.Error != nil)
 		if err := breaker.Err(); err != nil {
-			return nil, fmt.Errorf("sweep: grid aborted at point %d: %w", p.Index, err)
+			return nil, fmt.Errorf("grid aborted at point %d: %w", p.Index, err)
 		}
 		if pr.Error != nil {
 			res.Quarantined = append(res.Quarantined, p.Index)

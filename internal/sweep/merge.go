@@ -54,7 +54,7 @@ func (m *MergeReport) Complete() bool {
 // report says exactly what is owed.
 func Merge(outPath string, partial bool, paths ...string) (*MergeReport, error) {
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("sweep: merge needs at least one shard checkpoint")
+		return nil, fmt.Errorf("merge needs at least one shard checkpoint")
 	}
 	rep := &MergeReport{}
 	var ref checkpointHeader
@@ -68,10 +68,10 @@ func Merge(outPath string, partial bool, paths ...string) (*MergeReport, error) 
 		rep.Salvaged += cf.salvaged
 		hdr := cf.header
 		if hdr.Shard == nil {
-			return nil, fmt.Errorf("sweep: merge: %s is not a shard checkpoint (no shard field); merging already-merged or single-host files is meaningless", path)
+			return nil, fmt.Errorf("merge: %s is not a shard checkpoint (no shard field); merging already-merged or single-host files is meaningless", path)
 		}
 		if err := hdr.Shard.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: merge: %s: %w", path, err)
+			return nil, fmt.Errorf("merge: %s: %w", path, err)
 		}
 		if i == 0 {
 			ref = hdr
@@ -80,14 +80,14 @@ func Merge(outPath string, partial bool, paths ...string) (*MergeReport, error) 
 		} else {
 			if hdr.Mode != ref.Mode || hdr.Seed != ref.Seed || hdr.Z != ref.Z ||
 				!bytes.Equal(canonicalJSON(hdr.Spec), canonicalJSON(ref.Spec)) {
-				return nil, fmt.Errorf("sweep: merge: %s belongs to a different sweep than %s (mode/seed/z/spec mismatch)", path, paths[0])
+				return nil, fmt.Errorf("merge: %s belongs to a different sweep than %s (mode/seed/z/spec mismatch)", path, paths[0])
 			}
 			if hdr.Shard.Of != rep.Of {
-				return nil, fmt.Errorf("sweep: merge: %s declares %d shards, %s declares %d", path, hdr.Shard.Of, paths[0], rep.Of)
+				return nil, fmt.Errorf("merge: %s declares %d shards, %s declares %d", path, hdr.Shard.Of, paths[0], rep.Of)
 			}
 		}
 		if prev, dup := seenShard[hdr.Shard.Index]; dup {
-			return nil, fmt.Errorf("sweep: merge: shard %d appears in both %s and %s; each shard merges exactly once", hdr.Shard.Index, prev, path)
+			return nil, fmt.Errorf("merge: shard %d appears in both %s and %s; each shard merges exactly once", hdr.Shard.Index, prev, path)
 		}
 		seenShard[hdr.Shard.Index] = path
 		rep.Shards = append(rep.Shards, hdr.Shard.Index)
@@ -98,7 +98,7 @@ func Merge(outPath string, partial bool, paths ...string) (*MergeReport, error) 
 		sort.Ints(fileKeys)
 		for _, key := range fileKeys {
 			if !hdr.Shard.Owns(key) {
-				return nil, fmt.Errorf("sweep: merge: %s holds point %d, which shard %s does not own; the file is corrupt or mislabeled", path, key, hdr.Shard)
+				return nil, fmt.Errorf("merge: %s holds point %d, which shard %s does not own; the file is corrupt or mislabeled", path, key, hdr.Shard)
 			}
 			// Shard custody plus distinct indices make cross-file key
 			// collisions impossible; keys merge without conflict checks.
@@ -141,7 +141,7 @@ func Merge(outPath string, partial bool, paths ...string) (*MergeReport, error) 
 	}
 
 	if !partial && !rep.Complete() {
-		return rep, fmt.Errorf("sweep: merge incomplete: %d/%d points good (missing shards %v, missing points %v, quarantined %v); re-run the owed shards against their checkpoints, or pass -partial to write the union for a single-host resume",
+		return rep, fmt.Errorf("merge incomplete: %d/%d points good (missing shards %v, missing points %v, quarantined %v); re-run the owed shards against their checkpoints, or pass -partial to write the union for a single-host resume",
 			rep.Points, rep.Expected, rep.MissingShards, rep.Missing, rep.Quarantined)
 	}
 
@@ -164,22 +164,22 @@ func expectedKeys(hdr checkpointHeader, maxKey int) (int, error) {
 	case "grid":
 		var g Grid
 		if err := json.Unmarshal(hdr.Spec, &g); err != nil {
-			return 0, fmt.Errorf("sweep: merge: parse grid spec: %w", err)
+			return 0, fmt.Errorf("merge: parse grid spec: %w", err)
 		}
 		pts, err := g.Points()
 		if err != nil {
-			return 0, fmt.Errorf("sweep: merge: grid spec: %w", err)
+			return 0, fmt.Errorf("merge: grid spec: %w", err)
 		}
 		return len(pts), nil
 	case "scaling":
 		var s Scaling
 		if err := json.Unmarshal(hdr.Spec, &s); err != nil {
-			return 0, fmt.Errorf("sweep: merge: parse scaling spec: %w", err)
+			return 0, fmt.Errorf("merge: parse scaling spec: %w", err)
 		}
 		return len(s.Ns), nil
 	case "bisect":
 		return maxKey + 1, nil
 	default:
-		return 0, fmt.Errorf("sweep: merge: unknown sweep mode %q", hdr.Mode)
+		return 0, fmt.Errorf("merge: unknown sweep mode %q", hdr.Mode)
 	}
 }

@@ -153,7 +153,7 @@ func (r Runner) putCheckpoint(ck *checkpoint, key int, pr PointResult) error {
 	pol := r.retryPolicy()
 	jr := rng.New(rng.ForkSeed(r.Seed, putJitterSalt+uint64(key)))
 	if err := pol.Do(jr, func(int) error { return ck.put(key, pr) }); err != nil {
-		return fmt.Errorf("sweep: point %d could not be persisted: %w", key, err)
+		return fmt.Errorf("point %d could not be persisted: %w", key, err)
 	}
 	if m := r.Obs.Metrics; m != nil {
 		m.ckWrite.Observe(obs.SinceSeconds(r.Obs.Clock, t0))

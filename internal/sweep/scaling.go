@@ -60,19 +60,52 @@ type ScalingResult struct {
 	Salvaged    int   `json:"salvaged,omitempty"`
 }
 
-// RunScaling evaluates every population size and fits the log law.
-// With Runner.Checkpoint set, completed points persist and resume as
-// in RunGrid.
-func (r Runner) RunScaling(s Scaling) (*ScalingResult, error) {
+// Validate reports the first error RunScaling would meet before its
+// first trial: fewer than two populations, no trial budget, or a point
+// whose matrix, initial census, schedule or engine does not resolve
+// (see checkPoints). It runs no trial and touches no file; RunScaling
+// calls it before it opens the checkpoint.
+func (s Scaling) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolve materializes one point per population size and checks them.
+func (s Scaling) resolve() ([]Point, error) {
 	if len(s.Ns) < 2 {
-		return nil, fmt.Errorf("sweep: scaling needs at least 2 population sizes, got %d", len(s.Ns))
+		return nil, fmt.Errorf("scaling needs at least 2 population sizes, got %d", len(s.Ns))
 	}
 	if s.Trials < 1 {
-		return nil, fmt.Errorf("sweep: scaling needs trials ≥ 1, got %d", s.Trials)
+		return nil, fmt.Errorf("scaling needs trials ≥ 1, got %d", s.Trials)
 	}
 	proto := s.ProtoEps
 	if proto == 0 {
 		proto = s.ChannelEps
+	}
+	pts := make([]Point, len(s.Ns))
+	for i, n := range s.Ns {
+		pts[i] = Point{
+			Index:      i,
+			Matrix:     s.Matrix,
+			K:          s.K,
+			ChannelEps: s.ChannelEps,
+			Delta:      s.Delta,
+			N:          n,
+			Engine:     s.Engine,
+			Trials:     s.Trials,
+			Params:     defaultPointParams(proto, 0, s.LawQuant, s.CensusTol),
+		}
+	}
+	return pts, checkPoints(pts)
+}
+
+// RunScaling evaluates every population size and fits the log law.
+// With Runner.Checkpoint set, completed points persist and resume as
+// in RunGrid.
+func (r Runner) RunScaling(s Scaling) (*ScalingResult, error) {
+	pts, err := s.resolve()
+	if err != nil {
+		return nil, err
 	}
 	if err := r.Shard.Validate(); err != nil {
 		return nil, err
@@ -86,20 +119,10 @@ func (r Runner) RunScaling(s Scaling) (*ScalingResult, error) {
 	runners := r.newTrialRunners(r.workers())
 	breaker := resilience.NewBreaker(breakAfter)
 	var x, y []float64
-	for i, n := range s.Ns {
+	for _, p := range pts {
+		i, n := p.Index, p.N
 		if !r.Shard.Owns(i) {
 			continue
-		}
-		p := Point{
-			Index:      i,
-			Matrix:     s.Matrix,
-			K:          s.K,
-			ChannelEps: s.ChannelEps,
-			Delta:      s.Delta,
-			N:          n,
-			Engine:     s.Engine,
-			Trials:     s.Trials,
-			Params:     defaultPointParams(proto, 0, s.LawQuant, s.CensusTol),
 		}
 		t0 := obs.Now(r.Obs.Clock)
 		pr, ok := ck.get(i)
@@ -115,7 +138,7 @@ func (r Runner) RunScaling(s Scaling) (*ScalingResult, error) {
 		r.observePoint(pr, t0, !ok)
 		breaker.Record(pr.Error != nil)
 		if err := breaker.Err(); err != nil {
-			return nil, fmt.Errorf("sweep: scaling aborted at n=%d: %w", n, err)
+			return nil, fmt.Errorf("scaling aborted at n=%d: %w", n, err)
 		}
 		res.Points = append(res.Points, pr)
 		res.ErrorBudget += pr.ErrorBudget
@@ -132,7 +155,7 @@ func (r Runner) RunScaling(s Scaling) (*ScalingResult, error) {
 	// quarantine-thinned curve must still have two good points.
 	if !r.Shard.Enabled() {
 		if len(x) < 2 {
-			return nil, fmt.Errorf("sweep: scaling has %d usable points after quarantine, need at least 2 to fit", len(x))
+			return nil, fmt.Errorf("scaling has %d usable points after quarantine, need at least 2 to fit", len(x))
 		}
 		fit, err := stats.LinearFit(x, y)
 		if err != nil {

@@ -33,7 +33,7 @@ func (s Shard) Validate() error {
 		return nil
 	}
 	if s.Of < 1 || s.Index < 0 || s.Index >= s.Of {
-		return fmt.Errorf("sweep: shard %d/%d invalid: want 0 <= index < of", s.Index, s.Of)
+		return fmt.Errorf("shard %d/%d invalid: want 0 <= index < of", s.Index, s.Of)
 	}
 	return nil
 }
@@ -72,19 +72,19 @@ func shardEqual(a, b *Shard) bool {
 func ParseShard(s string) (Shard, error) {
 	idxStr, ofStr, ok := strings.Cut(s, "/")
 	if !ok {
-		return Shard{}, fmt.Errorf("sweep: shard %q: want index/of (e.g. 2/4)", s)
+		return Shard{}, fmt.Errorf("shard %q: want index/of (e.g. 2/4)", s)
 	}
 	idx, err1 := strconv.Atoi(idxStr)
 	of, err2 := strconv.Atoi(ofStr)
 	if err1 != nil || err2 != nil {
-		return Shard{}, fmt.Errorf("sweep: shard %q: want index/of (e.g. 2/4)", s)
+		return Shard{}, fmt.Errorf("shard %q: want index/of (e.g. 2/4)", s)
 	}
 	sh := Shard{Index: idx, Of: of}
 	if err := sh.Validate(); err != nil {
 		return Shard{}, err
 	}
 	if !sh.Enabled() {
-		return Shard{}, fmt.Errorf("sweep: shard %q: of must be >= 1", s)
+		return Shard{}, fmt.Errorf("shard %q: of must be >= 1", s)
 	}
 	return sh, nil
 }

@@ -278,8 +278,70 @@ func BuildMatrix(name string, k int, eps float64) (*noise.Matrix, error) {
 	case "reset":
 		return noise.Reset(k, eps)
 	default:
-		return nil, fmt.Errorf("sweep: unknown matrix %q (have uniform, binary, identity, cycle, reset)", name)
+		return nil, fmt.Errorf("unknown matrix %q (have uniform, binary, identity, cycle, reset)", name)
 	}
+}
+
+// checkPoints resolves what evaluating pts would resolve before their
+// first trial, so a bad spec fails before any side effect instead of at
+// its first point: each distinct (matrix, k, ε) through BuildMatrix,
+// each distinct (n, k, δ) through InitialCounts, each distinct
+// (n, params) through core.NewSchedule, and each engine name. Points
+// share these heavily (grid-k2's 1,344 points hold 24 matrices), so
+// each is resolved once.
+func checkPoints(pts []Point) error {
+	type matrixKey struct {
+		name string
+		k    int
+		eps  float64
+	}
+	type countsKey struct {
+		n     int64
+		k     int
+		delta float64
+	}
+	type scheduleKey struct {
+		n      int64
+		params core.Params
+	}
+	matrices, counts, schedules := map[matrixKey]bool{}, map[countsKey]bool{}, map[scheduleKey]bool{}
+	engines := map[string]bool{}
+	for _, p := range pts {
+		var err error
+		if mk := (matrixKey{p.Matrix, p.K, p.ChannelEps}); !matrices[mk] {
+			matrices[mk] = true
+			_, err = BuildMatrix(mk.name, mk.k, mk.eps)
+		}
+		if ck := (countsKey{p.N, p.K, p.Delta}); err == nil && !counts[ck] {
+			counts[ck] = true
+			_, err = InitialCounts(ck.n, ck.k, ck.delta)
+		}
+		if sk := (scheduleKey{p.N, p.Params}); err == nil && !schedules[sk] {
+			schedules[sk] = true
+			_, err = core.NewSchedule(sk.n, sk.params)
+		}
+		if err == nil && !engines[p.Engine] {
+			engines[p.Engine] = true
+			err = checkEngine(p.Engine)
+		}
+		if err != nil {
+			return fmt.Errorf("point %d: %w", p.Index, err)
+		}
+	}
+	return nil
+}
+
+// checkEngine accepts the census engine ("" or "census") and the
+// per-node cross-check engines O, B and P.
+func checkEngine(name string) error {
+	if name == "" || name == "census" {
+		return nil
+	}
+	proc, err := model.ProcessByName(name)
+	if err == nil && proc == model.ProcessCensus {
+		err = fmt.Errorf("engine %q: spell the census engine \"census\" or leave it empty", name)
+	}
+	return err
 }
 
 // InitialCounts returns a point's initial opinion census: a fully
@@ -289,7 +351,7 @@ func BuildMatrix(name string, k int, eps float64) (*noise.Matrix, error) {
 // opinion.
 func InitialCounts(n int64, k int, delta float64) ([]int64, error) {
 	if delta < 0 || delta >= 1 {
-		return nil, fmt.Errorf("sweep: initial bias δ=%v outside [0,1)", delta)
+		return nil, fmt.Errorf("initial bias δ=%v outside [0,1)", delta)
 	}
 	counts := make([]int64, k)
 	if delta == 0 {
@@ -345,17 +407,17 @@ func runPerNodeTrial(p Point, nm *noise.Matrix, counts []int64, r *rng.Rand, mm 
 		return trialOut{err: err}
 	}
 	if proc == model.ProcessCensus {
-		return trialOut{err: fmt.Errorf("sweep: census engine reached the per-node path")}
+		return trialOut{err: fmt.Errorf("census engine reached the per-node path")}
 	}
 	nInt, ok := checked.Int(p.N)
 	if !ok {
-		return trialOut{err: fmt.Errorf("sweep: n=%d exceeds the per-node engines' range; use the census engine", p.N)}
+		return trialOut{err: fmt.Errorf("n=%d exceeds the per-node engines' range; use the census engine", p.N)}
 	}
 	narrow := make([]int, len(counts))
 	for i, c := range counts {
 		v, ok := checked.Int(c)
 		if !ok {
-			return trialOut{err: fmt.Errorf("sweep: count %d exceeds the per-node engines' range", c)}
+			return trialOut{err: fmt.Errorf("count %d exceeds the per-node engines' range", c)}
 		}
 		narrow[i] = v
 	}
@@ -474,11 +536,11 @@ func (r Runner) parallelTrials(runners []*core.CensusRunner, p Point, nm *noise.
 func (r Runner) evalPoint(p Point, runners []*core.CensusRunner) (PointResult, error) {
 	nm, err := BuildMatrix(p.Matrix, p.K, p.ChannelEps)
 	if err != nil {
-		return PointResult{}, fmt.Errorf("sweep: point %d: %w", p.Index, err)
+		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
 	}
 	counts, err := InitialCounts(p.N, p.K, p.Delta)
 	if err != nil {
-		return PointResult{}, fmt.Errorf("sweep: point %d: %w", p.Index, err)
+		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
 	}
 	pointSeed := rng.ForkSeed(r.Seed, uint64(p.Index))
 	return r.aggregate(p, r.parallelTrials(runners, p, nm, counts, 0, p.Trials, pointSeed))
@@ -492,11 +554,11 @@ func (r Runner) evalPoint(p Point, runners []*core.CensusRunner) (PointResult, e
 func (r Runner) evalPointAdaptive(p Point, batch int, runners []*core.CensusRunner) (PointResult, error) {
 	nm, err := BuildMatrix(p.Matrix, p.K, p.ChannelEps)
 	if err != nil {
-		return PointResult{}, fmt.Errorf("sweep: point %d: %w", p.Index, err)
+		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
 	}
 	counts, err := InitialCounts(p.N, p.K, p.Delta)
 	if err != nil {
-		return PointResult{}, fmt.Errorf("sweep: point %d: %w", p.Index, err)
+		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
 	}
 	if batch <= 0 {
 		batch = p.Trials/8 + 1
@@ -546,7 +608,7 @@ func (r Runner) aggregate(p Point, outs []trialOut) (PointResult, error) {
 					Msg:       o.err.Error(),
 				}}, nil
 			}
-			return PointResult{}, fmt.Errorf("sweep: point %d trial %d: %w", p.Index, i, o.err)
+			return PointResult{}, fmt.Errorf("point %d trial %d: %w", p.Index, i, o.err)
 		}
 		if o.correct {
 			res.Successes++
