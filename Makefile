@@ -19,7 +19,7 @@ HEADLINE_BENCH := 'BenchmarkRumorSpreading($$|Huge)|BenchmarkPhase(Batch|Paralle
 # specific point.
 BENCH_N ?= $(shell i=1; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; echo $$i)
 
-.PHONY: build vet lint test race fuzz sweep-smoke obs-smoke chaos bench-test bench-quick bench-json profile check clean
+.PHONY: build vet lint test race fuzz sweep-smoke obs-smoke chaos bench-test bench-quick bench-json profile layout check clean
 
 build:
 	$(GO) build ./...
@@ -141,6 +141,22 @@ profile:
 	    -cpuprofile profiles/sweep_cpu.prof -memprofile profiles/sweep_mem.prof \
 	    -o profiles/sweep.test ./internal/sweep
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
+
+# layout prints where the Stage-2 law's hot functions land in a fresh
+# cmd/sweep build: address, size in bytes and address mod 64. Moving one
+# of them to another offset within its cache lines has cost
+# grid-k35-exact up to 24 % with no code change in it (DESIGN.md §4),
+# so a change to census.go, cert.go or law.go diffs this output against
+# its parent's and pairs grid-k35-exact when an offset moves.
+LAYOUT_FUNCS := evalTernary|binomRow|setWinner|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle
+layout:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/sweep" ./cmd/sweep && \
+	$(GO) tool nm -size -sort address "$$dir/sweep" | \
+	awk 'function hex(s,  i, v) { v = 0; for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return v } \
+	     $$4 ~ /internal\/census\.(\(\*[A-Za-z]+\)\.)?($(LAYOUT_FUNCS))$$/ { \
+	       name = $$4; sub(/.*internal\/census\./, "", name); \
+	       printf "%s %6d %2d %s\n", $$1, $$2, hex(substr($$1, length($$1) - 1)) % 64, name }'
 
 check: build lint race fuzz sweep-smoke obs-smoke chaos bench-test bench-quick
 
