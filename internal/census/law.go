@@ -92,23 +92,32 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // rival DP within the two evaluations' dropped masses (FuzzMajorityLaw,
 // TestPoissonLawMatchesDPAtCensusScale).
 //
-// Three fast paths answer the rest bit-identically to that DP, r and
+// k = 2 is one row: the single rival absorbs every ball the winner
+// leaves, so the law is Binomial(ℓ, q₀/(q₀+q₁)) of opinion 0's count
+// split at ℓ/2, a tie at m = ℓ/2 broken u.a.r. evalBinary evaluates
+// the row once at its mode (binomSaddle, Loader's saddle-point form)
+// and extends it by the two-term recurrence until it underflows, one
+// Exp per evaluation; each entry below tol/(4(ℓ+1)) is dropped once.
+// It sums the DP's terms in another order, so it is pinned to the DP
+// within the two dropped masses, and to a 300-bit evaluation of the row
+// within 10⁻¹² (TestBinaryLawMatchesExactTail).
+//
+// Two fast paths answer the rest bit-identically to that DP, r and
 // dropped alike (pinned by TestFastPathsBitIdenticalToDP and
 // FuzzMajorityLaw): a point-mass q (the consensus endgame, where most
-// phases of a winning trial live) collapses to r = q in O(k); k = 2
-// reduces to the plain binomial tail of
-// TestMajorityLawBinomialIdentity, truncation sites and sure-loss floor
-// included; and k = 3 fixes a winner, conditions the two rivals on the
-// winning count and sums the first rival's binomial window in one
-// ascending pass, each entry a ending with t = [a = m] + [ℓ−m−a = m]
-// ties. k = 3 keeps this pass: it is bit-identical to the DP, and at
-// ℓ = 57 and 81 up to twice as fast as the Poisson products.
+// phases of a winning trial live) collapses to r = q in O(k); and
+// k = 3 fixes a winner, conditions the two rivals on the winning count
+// and sums the first rival's binomial window in one ascending pass,
+// each entry a ending with t = [a = m] + [ℓ−m−a = m] ties. k = 3 keeps
+// this pass: it is bit-identical to the DP, and at ℓ = 57 and 81 up to
+// twice as fast as the Poisson products.
 //
-// Every binomial term — each winning-count pmf and the centre of each
-// row — comes from binomPMF, one table-driven kernel (ln Γ read from a
-// lazily built table, fetched once per evaluation, ln p and ln(1−p)
-// hoisted per winner or row) that reproduces dist.BinomialPMF bit for
-// bit and that the quantization certificate shares.
+// Every other binomial term — each k = 3 winning-count pmf and the
+// centre of each k = 3 rival row or k ≥ 4 binomial marginal — comes
+// from binomPMF, one table-driven kernel (ln Γ read from a lazily built
+// table, fetched once per evaluation, ln p and ln(1−p) hoisted per
+// winner or row) that reproduces dist.BinomialPMF bit for bit and that
+// the quantization certificate shares.
 //
 // MajorityLaw allocates its result and scratch; hot paths hold a
 // lawEvaluator and call eval, which reuses both.
