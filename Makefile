@@ -60,8 +60,8 @@ race:
 	$(GO) test -race -shuffle=on -timeout 30m ./...
 
 # fuzz runs the majority-law fuzz target for FUZZTIME: FuzzMajorityLaw
-# pins MajorityLaw to the frozen rival DP (bit for bit at k ≤ 3 and for
-# point masses, within the two dropped masses at k ≥ 4), bounds its
+# pins MajorityLaw to the frozen rival DP (bit for bit at k = 3 and for
+# point masses, within the two dropped masses at k = 2 and k ≥ 4), bounds its
 # dropped mass, checks that relabelling opinions relabels the law, and
 # checks it against exhaustive enumeration at small ℓ. Go's native fuzzer needs no download. A failing input is
 # written under internal/census/testdata/fuzz/FuzzMajorityLaw/; rename
@@ -143,9 +143,9 @@ profile:
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
 
 # layout prints where the Stage-2 law's hot functions land in a fresh
-# cmd/sweep build: address, size in bytes and address mod 64. Moving one
-# of them to another offset within its cache lines has cost
-# grid-k35-exact up to 24 % with no code change in it (DESIGN.md §4),
+# cmd/sweep build: address, size in bytes and address mod 64. Moving
+# them by 32 bytes, with no change to their code, has cost
+# grid-k35-exact 17 % (DESIGN.md §4),
 # so a change to census.go, cert.go or law.go diffs this output against
 # its parent's and pairs grid-k35-exact when an offset moves.
 LAYOUT_FUNCS := evalTernary|binomRow|setWinner|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle

@@ -894,18 +894,18 @@ func bd0(x, lam float64) float64 {
 // opinion 1 at 2m < ℓ, and at 2m = ℓ the two tie, broken u.a.r. The
 // row is evaluated once at its mode (binomSaddle) and extended by
 // binomRow's two-term recurrence in both directions until it
-// underflows: one Exp per evaluation where a pmf per winning count
-// took one each. An entry below mCut is dropped, whichever opinion it
-// would have elected, as the per-winner count loops dropped it; a
-// dropped tie is charged once, where they charged it once per winner.
-// The law is pinned to an exact evaluation of the row
-// (TestBinaryLawMatchesExactTail) and to the rival DP within the two
-// dropped masses.
+// underflows, so an evaluation takes one Exp. An entry below mCut is
+// dropped, whichever opinion it would elect: the rival DP's count cut.
+// Each entry is classified once, so a dropped tie is charged once,
+// where the DP charges it once per winner. The law is pinned to an
+// exact evaluation of the row (TestBinaryLawMatchesExactTail) and to
+// the rival DP within the two dropped masses.
 func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut float64, r []float64) ([]float64, float64) {
 	s := q[0] + q[1]
+	p, pc := q[0]/s, q[1]/s
 	odds := q[0] / q[1]
-	mode := min(int(float64(ell+1)*(q[0]/s)), ell)
-	center := binomSaddle(lfact(), ell, mode, q[0]/s, q[1]/s)
+	mode := min(int(float64(ell+1)*p), ell)
+	center := binomSaddle(lfact(), ell, mode, p, pc)
 	// won[c+1] sums the kept entries m with c = sign(2m − ℓ): opinion
 	// 1's wins, the tie, opinion 0's wins.
 	var won [3]float64

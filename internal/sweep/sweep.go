@@ -304,24 +304,26 @@ func checkPoints(pts []Point) error {
 		n      int64
 		params core.Params
 	}
-	matrices, counts, schedules := map[matrixKey]bool{}, map[countsKey]bool{}, map[scheduleKey]bool{}
-	engines := map[string]bool{}
+	seen := map[any]bool{}
+	first := func(key any) bool {
+		if seen[key] {
+			return false
+		}
+		seen[key] = true
+		return true
+	}
 	for _, p := range pts {
 		var err error
-		if mk := (matrixKey{p.Matrix, p.K, p.ChannelEps}); !matrices[mk] {
-			matrices[mk] = true
-			_, err = BuildMatrix(mk.name, mk.k, mk.eps)
+		if first(matrixKey{p.Matrix, p.K, p.ChannelEps}) {
+			_, err = BuildMatrix(p.Matrix, p.K, p.ChannelEps)
 		}
-		if ck := (countsKey{p.N, p.K, p.Delta}); err == nil && !counts[ck] {
-			counts[ck] = true
-			_, err = InitialCounts(ck.n, ck.k, ck.delta)
+		if err == nil && first(countsKey{p.N, p.K, p.Delta}) {
+			_, err = InitialCounts(p.N, p.K, p.Delta)
 		}
-		if sk := (scheduleKey{p.N, p.Params}); err == nil && !schedules[sk] {
-			schedules[sk] = true
-			_, err = core.NewSchedule(sk.n, sk.params)
+		if err == nil && first(scheduleKey{p.N, p.Params}) {
+			_, err = core.NewSchedule(p.N, p.Params)
 		}
-		if err == nil && !engines[p.Engine] {
-			engines[p.Engine] = true
+		if err == nil && first(p.Engine) {
 			err = checkEngine(p.Engine)
 		}
 		if err != nil {

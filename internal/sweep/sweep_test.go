@@ -220,48 +220,49 @@ func TestDecades(t *testing.T) {
 }
 
 // TestRunRejectsBadSpecBeforeCheckpoint: a spec whose matrix, initial
-// census, schedule or engine does not resolve fails Validate and each
+// census, schedule or engine does not resolve fails Validate and its
 // Run* before the checkpoint opens, so no journal carries its header.
-// The bad point is the last one, where the parent's point loop would
-// first have met it.
+// The bad grid point is the last one, where the point loop would first
+// have met it.
 func TestRunRejectsBadSpecBeforeCheckpoint(t *testing.T) {
-	g := testGrid()
-	lastMatrix := func(g Grid) Grid { g.Matrices = append(g.Matrices, "warp"); return g }(g)
-	badDelta := func(g Grid) Grid { g.Deltas = append(g.Deltas, 1.5); return g }(g)
-	badQuant := func(g Grid) Grid { g.LawQuant = -1; return g }(g)
-	badEngine := func(g Grid) Grid { g.Engine = "Q"; return g }(g)
+	lastMatrix, badDelta, badQuant, badEngine := testGrid(), testGrid(), testGrid(), testGrid()
+	lastMatrix.Matrices = append(lastMatrix.Matrices, "warp")
+	badDelta.Deltas = append(badDelta.Deltas, 1.5)
+	badQuant.LawQuant = -1
+	badEngine.Engine = "Q"
 	b := Bisect{Matrix: "binary", K: 2, N: 1e4, Delta: 0.05, ProtoEps: 0.4, Lo: 0.1, Hi: 0.3, Tol: 0.05, Trials: 8}
-	badBracket := b
-	badBracket.Hi = 2 // the FHK binary channel needs ε ≤ 1/2
+	badHi := b
+	badHi.Hi = 2 // the FHK binary channel needs ε ≤ 1/2
 	s := Scaling{Matrix: "uniform", K: 3, ChannelEps: 0.3, Ns: []int64{1000, 10000}, Trials: 2}
-	badScale := s
-	badScale.Ns = []int64{1000, 1}
-	for name, run := range map[string]func(Runner) (any, error){
-		"grid matrix": func(r Runner) (any, error) { return r.RunGrid(lastMatrix) },
-		"grid delta":  func(r Runner) (any, error) { return r.RunGrid(badDelta) },
-		"grid quant":  func(r Runner) (any, error) { return r.RunGrid(badQuant) },
-		"grid engine": func(r Runner) (any, error) { return r.RunGrid(badEngine) },
-		"bisect hi":   func(r Runner) (any, error) { return r.RunBisect(badBracket) },
-		"scaling n":   func(r Runner) (any, error) { return r.RunScaling(badScale) },
+	badN := s
+	badN.Ns = []int64{1000, 1}
+	grid := func(g Grid) func(Runner) error {
+		return func(r Runner) error { _, err := r.RunGrid(g); return err }
+	}
+	for _, c := range []struct {
+		name     string
+		validate func() error
+		run      func(Runner) error
+	}{
+		{"grid matrix", lastMatrix.Validate, grid(lastMatrix)},
+		{"grid delta", badDelta.Validate, grid(badDelta)},
+		{"grid quant", badQuant.Validate, grid(badQuant)},
+		{"grid engine", badEngine.Validate, grid(badEngine)},
+		{"bisect hi", badHi.Validate, func(r Runner) error { _, err := r.RunBisect(badHi); return err }},
+		{"scaling n", badN.Validate, func(r Runner) error { _, err := r.RunScaling(badN); return err }},
 	} {
+		if c.validate() == nil {
+			t.Errorf("%s: Validate accepted", c.name)
+		}
 		path := filepath.Join(t.TempDir(), "ck.json")
-		if _, err := run(Runner{Seed: 1, Workers: 2, Checkpoint: path}); err == nil {
-			t.Errorf("%s: accepted", name)
+		if c.run(Runner{Seed: 1, Workers: 2, Checkpoint: path}) == nil {
+			t.Errorf("%s: run accepted", c.name)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("%s: the rejected run left a checkpoint (stat: %v)", name, err)
+			t.Errorf("%s: the rejected run left a checkpoint (stat: %v)", c.name, err)
 		}
 	}
-	for name, err := range map[string]error{
-		"grid matrix": lastMatrix.Validate(), "grid delta": badDelta.Validate(),
-		"grid quant": badQuant.Validate(), "grid engine": badEngine.Validate(),
-		"bisect hi": badBracket.Validate(), "scaling n": badScale.Validate(),
-	} {
-		if err == nil {
-			t.Errorf("%s: Validate accepted", name)
-		}
-	}
-	for name, err := range map[string]error{"grid": g.Validate(), "bisect": b.Validate(), "scaling": s.Validate()} {
+	for name, err := range map[string]error{"grid": testGrid().Validate(), "bisect": b.Validate(), "scaling": s.Validate()} {
 		if err != nil {
 			t.Errorf("%s: Validate rejected a good spec: %v", name, err)
 		}
