@@ -35,9 +35,9 @@ STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
 # lint is the static contract gate: gofmt, go vet, then nrlint — the
-# project's own analyzer suite enforcing the determinism / overflow /
-# budget / rngfork contracts plus the interprocedural detcall /
-# budgetflow / obswrite passes (see DESIGN.md "Statically enforced
+# project's own analyzer suite, one pass per contract: budget /
+# determinism / obswrite / overflow / rngfork, with budget and
+# determinism interprocedural (see DESIGN.md "Statically enforced
 # contracts"). staticcheck and govulncheck run when installed (CI
 # installs the pinned versions above); a bare or stale
 # `//nrlint:allow` fails the build.

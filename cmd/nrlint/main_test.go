@@ -15,17 +15,23 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("nrlint -list exited %d: %s", code, errOut.String())
 	}
-	for _, name := range []string{"determinism", "overflow", "budget", "rngfork", "detcall", "budgetflow", "obswrite"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, " "), "budget determinism obswrite overflow rngfork"; got != want {
+		t.Errorf("-list names %q, want %q:\n%s", got, want, out.String())
 	}
 }
 
+// TestUnknownAnalyzerRejected also pins that the names of the passes
+// folded into determinism and budget are gone from -run.
 func TestUnknownAnalyzerRejected(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-run", "nosuch"}, &out, &errOut); code != 2 {
-		t.Fatalf("nrlint -run nosuch exited %d, want 2", code)
+	for _, name := range []string{"nosuch", "detcall", "budgetflow"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-run", name}, &out, &errOut); code != 2 {
+			t.Fatalf("nrlint -run %s exited %d, want 2", name, code)
+		}
 	}
 }
 
@@ -39,13 +45,13 @@ func TestUnknownFormatRejected(t *testing.T) {
 	}
 }
 
-// TestNewAnalyzersRunnable pins that the interprocedural passes are
-// addressable via -run, not just present in -list.
+// TestNewAnalyzersRunnable pins that every listed pass is addressable
+// via -run, not just present in -list.
 func TestNewAnalyzersRunnable(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "checked")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-run", "detcall,budgetflow,obswrite", dir}, &out, &errOut); code != 0 {
-		t.Fatalf("nrlint -run detcall,budgetflow,obswrite exited %d:\n%s%s", code, out.String(), errOut.String())
+	if code := run([]string{"-run", "budget,determinism,obswrite,overflow,rngfork", dir}, &out, &errOut); code != 0 {
+		t.Fatalf("nrlint -run budget,determinism,obswrite,overflow,rngfork exited %d:\n%s%s", code, out.String(), errOut.String())
 	}
 }
 
@@ -267,7 +273,7 @@ func validateSARIF(data []byte) (int, error) {
 	return len(r.Results), nil
 }
 
-// BenchmarkNrlintModule times one full-module nrlint run — all seven
+// BenchmarkNrlintModule times one full-module nrlint run — all five
 // analyzers, bottom-up facts, suppression — the cost `make lint` and
 // CI pay. Recorded as nrlint_module_secs in BENCH_*.json.
 func BenchmarkNrlintModule(b *testing.B) {

@@ -4,7 +4,11 @@
 // bit-identical results at any worker count (determinism), int64
 // census counters that never silently wrap or narrow (overflow),
 // every approximation charged to the Lemma-3 error budget (budget),
-// and disciplined rng stream forking (rngfork).
+// disciplined rng stream forking (rngfork), and write-only
+// observability in deterministic code (obswrite). One pass per
+// contract: determinism and budget each compute per-function facts
+// in a Facts hook (facts.go), so their Run hooks also see through
+// calls into other packages.
 //
 // The framework deliberately mirrors the golang.org/x/tools
 // go/analysis API shape (Analyzer, Pass, Diagnostic) so the passes
@@ -21,8 +25,8 @@
 // A bare suppression (missing the `-- reason` tail) is itself a
 // finding, so CI fails on any unexplained allow. See suppress.go.
 //
-// Package opt-in: the determinism, overflow and rngfork passes apply
-// only to packages that declare the contract with a
+// Package opt-in: the determinism, obswrite, overflow and rngfork
+// passes apply only to packages that declare the contract with a
 // `//nrlint:deterministic` comment (conventionally above the package
 // clause); the budget pass is repo-wide, since budget-carrying types
 // may flow anywhere.
@@ -60,7 +64,6 @@ type Pass struct {
 
 	// Facts is the cross-package store: populated bottom-up over the
 	// import DAG by the analyzers' Facts hooks, consulted by Run.
-	// Nil when the driver runs without interprocedural context.
 	Facts *Facts
 
 	report func(Diagnostic)
@@ -131,26 +134,6 @@ func namedTypeName(t types.Type) string {
 	return ""
 }
 
-// enclosingFuncs returns the innermost-first stack of function nodes
-// (FuncDecl or FuncLit) enclosing pos — computed per call; the
-// analyzers only need it on reported paths.
-func enclosingFunc(file *ast.File, pos token.Pos) ast.Node {
-	var found ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			if n.Pos() <= pos && pos < n.End() {
-				found = n // keep descending: innermost wins
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // All returns the full suite in stable order. The driver and the
 // fixture runner both iterate this.
 func All() []*Analyzer {
@@ -159,8 +142,6 @@ func All() []*Analyzer {
 		OverflowAnalyzer,
 		BudgetAnalyzer,
 		RngForkAnalyzer,
-		DetCallAnalyzer,
-		BudgetFlowAnalyzer,
 		ObsWriteAnalyzer,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })

@@ -5,8 +5,15 @@ import (
 	"go/token"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// fixtureLoader is the one Loader the fixture tests share. Every
+// fixture sits in this module, so the stdlib packages their imports
+// pull in are type-checked from source once per test binary, not once
+// per test.
+var fixtureLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
 
 // RunFixture is the analysistest-shaped harness: it loads the fixture
 // package at dir (conventionally testdata/src/<analyzer>) together
@@ -21,7 +28,7 @@ import (
 // //nrlint:allow and no want are the fixtures' accepted negatives.
 func RunFixture(t *testing.T, as []*Analyzer, dir string) {
 	t.Helper()
-	loader, err := NewLoader(dir)
+	loader, err := fixtureLoader()
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}

@@ -29,14 +29,14 @@ func TestRngForkFixture(t *testing.T) {
 // The interprocedural fixtures are multi-package: the directory under
 // test holds the //nrlint:deterministic (or budget-using) package and
 // a helper/ subpackage WITHOUT the directive — the cross-package shape
-// the pre-facts syntactic passes provably could not see.
+// only the facts computed over the import DAG can see.
 
 func TestDetCallFixture(t *testing.T) {
-	RunFixture(t, []*Analyzer{DetCallAnalyzer}, filepath.Join("testdata", "src", "detcall"))
+	RunFixture(t, []*Analyzer{DeterminismAnalyzer}, filepath.Join("testdata", "src", "detcall"))
 }
 
 func TestBudgetFlowFixture(t *testing.T) {
-	RunFixture(t, []*Analyzer{BudgetFlowAnalyzer}, filepath.Join("testdata", "src", "budgetflow"))
+	RunFixture(t, []*Analyzer{BudgetAnalyzer}, filepath.Join("testdata", "src", "budgetflow"))
 }
 
 func TestObsWriteFixture(t *testing.T) {
@@ -45,10 +45,10 @@ func TestObsWriteFixture(t *testing.T) {
 
 func TestSuiteRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 7 {
-		t.Fatalf("All() = %d analyzers, want 7", len(all))
+	if len(all) != 5 {
+		t.Fatalf("All() = %d analyzers, want 5", len(all))
 	}
-	for _, name := range []string{"budget", "budgetflow", "detcall", "determinism", "obswrite", "overflow", "rngfork"} {
+	for _, name := range []string{"budget", "determinism", "obswrite", "overflow", "rngfork"} {
 		if ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}
@@ -63,16 +63,16 @@ func TestSuiteRegistry(t *testing.T) {
 // the //nrlint:deterministic directive (the budget pass is the
 // repo-wide exception, exercised by its fixture).
 func TestUnannotatedPackageIsExempt(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "unannotated")
-	loader, err := NewLoader(dir)
+	loader, err := fixtureLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, diags, err := loader.Run(dir, []*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, RngForkAnalyzer})
+	results, err := loader.RunDirs([]string{filepath.Join("testdata", "src", "unannotated")},
+		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, RngForkAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
+	if diags := results[0].Diags; len(diags) != 0 {
 		t.Fatalf("unannotated package got %d diagnostics, want 0: %v", len(diags), diags)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // BudgetAnalyzer enforces the Lemma-3 accounting contract repo-wide:
@@ -15,19 +16,40 @@ import (
 // so the check also binds code written before the named type existed
 // and self-contained test fixtures. It flags:
 //
-//   - call sites that discard a budget-carrying value: a budget-typed
-//     call used as a bare statement, or a budget-typed result
-//     assigned to the blank identifier;
+//   - call sites that discard a budget-carrying result: a call used as
+//     a bare statement, or a budget-carrying result assigned to the
+//     blank identifier;
 //   - plain `=` assignment to a budget field from a raw (non-budget)
 //     non-zero expression: accumulators compose with `+=` (or by
 //     transferring an already-budget-typed value, e.g. snapshotting
 //     eng.ErrorBudget() into a result field); a raw overwrite is the
 //     PR-5 vacuous-certificate bug class, where accrued mass vanishes
-//     from the ledger. Zeroing (`= 0`) is reset, always allowed.
+//     from the ledger. Zeroing (`= 0`) is reset, always allowed;
+//   - a budget-carrying call result captured in a local that never
+//     flows into a return, a `+=` onto a budget accumulator, or a
+//     sinking call before its scope ends (def-use tracking, see
+//     flowBudget). Reading a budget FIELD into a local is not an
+//     obligation — the mass still lives in the source struct — but a
+//     call result (an accessor snapshot, a trial's returned budget) is
+//     the only copy, and dropping it is exactly the Lemma-3 leak.
+//
+// Which results of a call carry budget is decided in one place,
+// budgetResults: the Budget type, a canonical accessor, or the
+// callee's fact. The Facts hook (budgetFlowFacts) summarizes every
+// function: which result positions carry budget (including return
+// expressions that erase the type — the cross-package wrapper case)
+// and whether its Budget-typed parameters provably reach a sink. A
+// call therefore does not count as a discharge when the callee's
+// summary says the budget parameter goes nowhere: `helper.Mag(b)`
+// with `func Mag(b Budget) bool { return b > 0.5 }` drops b's mass.
+// Unknown callees (stdlib, function values, un-analyzed packages) are
+// assumed to sink — the CLIs legitimately hand budgets to fmt — so
+// facts only tighten the check where a body was analyzed.
 var BudgetAnalyzer = &Analyzer{
-	Name: "budget",
-	Doc:  "flag discarded ErrorBudget/QuantBudget values and raw overwrites of budget accumulators",
-	Run:  runBudget,
+	Name:  "budget",
+	Doc:   "flag discarded ErrorBudget/QuantBudget values, raw overwrites of budget accumulators, and captured budget call results that never reach a return, a += accumulator or a sinking call (interprocedural summaries via facts)",
+	Run:   runBudget,
+	Facts: budgetFlowFacts,
 }
 
 // budgetNames are the canonical budget accessor/field identifiers.
@@ -47,11 +69,18 @@ func runBudget(pass *Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && callYieldsBudget(pass, call) {
+				if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && slices.Contains(budgetResults(pass, call), true) {
 					pass.Reportf(n.Pos(), "budget-carrying result of %s is discarded: every approximation mass must reach the caller's ledger (assign and propagate it, or justify with //nrlint:allow budget -- <reason>)", calleeName(call))
 				}
 			case *ast.AssignStmt:
 				checkBudgetAssign(pass, n)
+			case *ast.FuncDecl:
+				if n.Body == nil {
+					return true
+				}
+				for obj, pos := range flowBudget(pass, n.Body, budgetCallObligations(pass, n.Body)) {
+					pass.Reportf(pos, "budget value captured in %s never reaches a return, a += accumulator, or a sinking call before scope ends: the accrued mass is dropped from the ledger (propagate it, or justify with //nrlint:allow budget -- <reason>)", obj.Name())
+				}
 			}
 			return true
 		})
@@ -65,11 +94,9 @@ func checkBudgetAssign(pass *Pass, as *ast.AssignStmt) {
 	// Blank discard: `_ = budgetExpr` or `v, _ := callReturningBudget()`.
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			if tuple, ok := pass.TypeOf(call).(*types.Tuple); ok {
-				for i := 0; i < tuple.Len() && i < len(as.Lhs); i++ {
-					if isBlank(as.Lhs[i]) && namedTypeName(tuple.At(i).Type()) == "Budget" {
-						pass.Reportf(as.Lhs[i].Pos(), "budget result %d of %s is discarded into _; propagate it or justify with //nrlint:allow budget -- <reason>", i, calleeName(call))
-					}
+			for i, carry := range budgetResults(pass, call) {
+				if carry && i < len(as.Lhs) && isBlank(as.Lhs[i]) {
+					pass.Reportf(as.Lhs[i].Pos(), "budget result %d of %s is discarded into _; propagate it or justify with //nrlint:allow budget -- <reason>", i, calleeName(call))
 				}
 			}
 		}
@@ -97,23 +124,32 @@ func checkBudgetAssign(pass *Pass, as *ast.AssignStmt) {
 	}
 }
 
-// callYieldsBudget reports whether call returns at least one
-// budget-typed value, or is a canonical budget accessor.
-func callYieldsBudget(pass *Pass, call *ast.CallExpr) bool {
-	if budgetNames[calleeBase(call)] {
-		return true
+// budgetResults reports, for each result position of call, whether it
+// carries budget mass: the result has type Budget, the call is a
+// canonical accessor with a single result, or the callee's
+// BudgetResults fact lists the position. A conversion is not a call
+// result and yields nil.
+func budgetResults(pass *Pass, call *ast.CallExpr) []bool {
+	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
+		return nil
 	}
-	switch t := pass.TypeOf(call).(type) {
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			if namedTypeName(t.At(i).Type()) == "Budget" {
-				return true
-			}
+	results := []types.Type{pass.TypeOf(call)}
+	if tuple, ok := results[0].(*types.Tuple); ok { // nil for a call without results
+		results = results[:0]
+		for i := 0; i < tuple.Len(); i++ {
+			results = append(results, tuple.At(i).Type())
 		}
-	default:
-		return namedTypeName(t) == "Budget"
 	}
-	return false
+	var fact FuncFact
+	if fn := calleeFunc(pass, call); fn != nil {
+		fact, _ = pass.Facts.Func(FactKey(fn))
+	}
+	carry := make([]bool, len(results))
+	for i, t := range results {
+		carry[i] = namedTypeName(t) == "Budget" || slices.Contains(fact.BudgetResults, i) ||
+			len(results) == 1 && budgetNames[calleeBase(call)]
+	}
+	return carry
 }
 
 // isBudgetExpr reports whether e carries budget mass: a Budget-typed

@@ -6,33 +6,9 @@ import (
 	"go/types"
 )
 
-// BudgetFlowAnalyzer upgrades the statement-local budget pass to
-// def-use tracking, repo-wide: a budget-carrying value returned by a
-// call and captured in a local must flow into a return, a `+=` onto a
-// budget accumulator, or a sinking call before its scope ends.
-// Reading a budget FIELD into a local is not an obligation — the mass
-// still lives in the source struct — but a call result (an accessor
-// snapshot, a trial's returned budget) is the only copy, and dropping
-// it is exactly the Lemma-3 leak the contract forbids.
-//
-// The interprocedural half (the Facts hook) summarizes every function:
-// which result positions carry budget (typed Budget, canonical
-// ErrorBudget/QuantBudget accessors, or return expressions that are
-// budget expressions — the cross-package wrapper case), and whether
-// its Budget-typed parameters provably reach a sink. The check then
-// refuses to count a call as a discharge when the callee's summary
-// says the budget parameter goes nowhere: `helper.Mag(b)` with
-// `func Mag(b Budget) bool { return b > 0.5 }` drops b's mass, and
-// the old syntactic pass could not see it. Unknown callees (stdlib,
-// function values, un-analyzed packages) are assumed to sink — the
-// CLIs legitimately hand budgets to fmt — so facts only tighten the
-// check where a body was analyzed.
-var BudgetFlowAnalyzer = &Analyzer{
-	Name:  "budgetflow",
-	Doc:   "track budget-carrying call results through locals: every captured budget must reach a return, a += accumulator, or a sinking call (interprocedural summaries via facts)",
-	Run:   runBudgetFlow,
-	Facts: budgetFlowFacts,
-}
+// This file is the interprocedural half of the budget pass: the
+// per-function summaries its Facts hook exports, and the def-use walk
+// its Run hook applies to every function body.
 
 // budgetFlowFacts summarizes every declared function: budget-carrying
 // result positions and whether Budget-typed parameters sink.
@@ -102,24 +78,23 @@ func budgetResultIndices(pass *Pass, fd *ast.FuncDecl, fn *types.Func) []int {
 }
 
 // isBudgetSourceExpr extends isBudgetExpr through one conversion
-// layer — `float64(e.ErrorBudget())` still carries the mass — so
-// wrapper results are summarized even when they erase the type.
+// layer — `float64(e.ErrorBudget())` still carries the mass — and to
+// single-result calls that carry budget, so wrapper results are
+// summarized even when they erase the type.
 func isBudgetSourceExpr(pass *Pass, e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if isBudgetExpr(pass, e) {
 		return true
 	}
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
-		if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
-			return isBudgetSourceExpr(pass, call.Args[0])
-		}
-		if fn := calleeFunc(pass, call); fn != nil {
-			if fact, ok := pass.Facts.Func(FactKey(fn)); ok && fact.ReturnsBudget() {
-				return true
-			}
-		}
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-	return false
+	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
+		return len(call.Args) == 1 && isBudgetSourceExpr(pass, call.Args[0])
+	}
+	carry := budgetResults(pass, call)
+	return len(carry) == 1 && carry[0]
 }
 
 // paramSinkSummary reports whether fn takes Budget-typed parameters
@@ -148,25 +123,6 @@ func paramSinkSummary(pass *Pass, fd *ast.FuncDecl, fn *types.Func) (hasParam, s
 	return true, len(undischarged) == 0
 }
 
-// runBudgetFlow applies the def-use check to every function body:
-// locals initialized from budget-carrying call results must be
-// discharged before scope ends.
-func runBudgetFlow(pass *Pass) error {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obligations := budgetCallObligations(pass, fd.Body)
-			for obj, pos := range flowBudget(pass, fd.Body, obligations) {
-				pass.Reportf(pos, "budget value captured in %s never reaches a return, a += accumulator, or a sinking call before scope ends: the accrued mass is dropped from the ledger (propagate it, or justify with //nrlint:allow budgetflow -- <reason>)", obj.Name())
-			}
-		}
-	}
-	return nil
-}
-
 // budgetCallObligations finds locals initialized or assigned from
 // budget-carrying call results anywhere in body.
 func budgetCallObligations(pass *Pass, body *ast.BlockStmt) map[types.Object]token.Pos {
@@ -182,81 +138,32 @@ func budgetCallObligations(pass *Pass, body *ast.BlockStmt) map[types.Object]tok
 		}
 		obligations[obj] = id.Pos()
 	}
-	handlePair := func(lhs []ast.Expr, rhs ast.Expr) {
-		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
-			return // conversion, not a call result
-		}
-		if len(lhs) > 1 {
-			// Tuple assignment: obligate the positions that carry
-			// budget by type or by callee summary.
-			tuple, _ := pass.TypeOf(call).(*types.Tuple)
-			var factIdx []int
-			if fn := calleeFunc(pass, call); fn != nil {
-				if fact, ok := pass.Facts.Func(FactKey(fn)); ok {
-					factIdx = fact.BudgetResults
-				}
-			}
-			for i, l := range lhs {
-				carry := false
-				if tuple != nil && i < tuple.Len() && namedTypeName(tuple.At(i).Type()) == "Budget" {
-					carry = true
-				}
-				for _, j := range factIdx {
-					if j == i {
-						carry = true
+	// Result i of the j-th right-hand call lands in lhs[i+j]: either
+	// one multi-value call (j = 0) or one single-value call per lhs
+	// (i = 0).
+	obligateCalls := func(lhs, rhs []ast.Expr) {
+		for j, r := range rhs {
+			if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
+				for i, carry := range budgetResults(pass, call) {
+					if carry && i+j < len(lhs) {
+						obligate(lhs[i+j])
 					}
 				}
-				if carry {
-					obligate(l)
-				}
 			}
-			return
-		}
-		carry := namedTypeName(pass.TypeOf(call)) == "Budget" || budgetNames[calleeBase(call)]
-		if !carry {
-			if fn := calleeFunc(pass, call); fn != nil {
-				if fact, ok := pass.Facts.Func(FactKey(fn)); ok && fact.ReturnsBudget() {
-					carry = true
-				}
-			}
-		}
-		if carry {
-			obligate(lhs[0])
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if n.Tok != token.DEFINE && n.Tok != token.ASSIGN {
-				return true
-			}
-			if len(n.Rhs) == 1 && len(n.Lhs) >= 1 {
-				handlePair(n.Lhs, n.Rhs[0])
-			} else {
-				for i := range n.Lhs {
-					if i < len(n.Rhs) {
-						handlePair(n.Lhs[i:i+1], n.Rhs[i])
-					}
-				}
+			if n.Tok == token.DEFINE || n.Tok == token.ASSIGN {
+				obligateCalls(n.Lhs, n.Rhs)
 			}
 		case *ast.ValueSpec:
-			if len(n.Values) == 1 && len(n.Names) >= 1 {
-				lhs := make([]ast.Expr, len(n.Names))
-				for i, name := range n.Names {
-					lhs[i] = name
-				}
-				handlePair(lhs, n.Values[0])
-			} else {
-				for i, name := range n.Names {
-					if i < len(n.Values) {
-						handlePair([]ast.Expr{name}, n.Values[i])
-					}
-				}
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, name := range n.Names {
+				lhs[i] = name
 			}
+			obligateCalls(lhs, n.Values)
 		}
 		return true
 	})

@@ -1,8 +1,6 @@
 package analyzers
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -11,11 +9,8 @@ import (
 // facts computed bottom-up over the module's import DAG, so a pass
 // analyzing package P can ask about the functions P calls in packages
 // already analyzed. The driver (Loader.RunDirs) orders packages
-// dependencies-first, runs every analyzer's Facts hook before any Run
-// hook, and serializes the store between packages — facts survive an
-// encode/decode round trip by construction, so the in-memory store
-// could be swapped for an on-disk cache without changing analyzer
-// semantics (the shape a real go/analysis facts file would take).
+// dependencies-first and runs every analyzer's Facts hook before any
+// Run hook; the store lives in memory for one run.
 //
 // Keys must be stable across separately type-checked views of the
 // same package: the source importer materializes its own
@@ -33,25 +28,26 @@ import (
 // stricter where a summary proves a violation, never looser.
 type FuncFact struct {
 	// Tainted: the function transitively reaches a nondeterminism
-	// source — time.Now/time.Since, math/rand, map-range iteration
-	// (the sorted-keys key-collection loop is exempt), goroutine
-	// append fan-in, or an obs.WallClock literal. TaintReason is the
-	// human-readable chain for diagnostics.
-	Tainted     bool   `json:"tainted,omitempty"`
-	TaintReason string `json:"taint_reason,omitempty"`
+	// source — time.Now/time.Since/time.Sleep, math/rand, map-range
+	// iteration (the sorted-keys key-collection loop is exempt),
+	// goroutine append fan-in, or an obs.WallClock/WallSleeper
+	// literal. TaintReason is the human-readable chain for
+	// diagnostics.
+	Tainted     bool
+	TaintReason string
 
 	// Deterministic: the defining package carries the
-	// //nrlint:deterministic directive. Calls into tainted functions
-	// of such packages are not re-reported by detcall — the
-	// determinism pass already flags the source site itself.
-	Deterministic bool `json:"deterministic,omitempty"`
+	// //nrlint:deterministic directive. The determinism pass does not
+	// report calls into tainted functions of such packages — it
+	// already flags the source site itself.
+	Deterministic bool
 
 	// BudgetResults lists result indices that carry budget mass: a
 	// result typed Budget, a canonical ErrorBudget/QuantBudget
 	// accessor, or a result position whose return expressions are
-	// budget expressions (the cross-package wrapper case the
-	// syntactic pass cannot see).
-	BudgetResults []int `json:"budget_results,omitempty"`
+	// budget expressions (the cross-package wrapper case a
+	// statement-local check cannot see).
+	BudgetResults []int
 
 	// HasBudgetParam / SinksBudget summarize the parameter side:
 	// whether the function takes a Budget-typed parameter, and
@@ -60,12 +56,9 @@ type FuncFact struct {
 	// call) before scope ends. A call passing a budget value to a
 	// function with HasBudgetParam && !SinksBudget does NOT
 	// discharge the caller's obligation to ledger that value.
-	HasBudgetParam bool `json:"has_budget_param,omitempty"`
-	SinksBudget    bool `json:"sinks_budget,omitempty"`
+	HasBudgetParam bool
+	SinksBudget    bool
 }
-
-// ReturnsBudget reports whether any result position carries budget.
-func (f FuncFact) ReturnsBudget() bool { return len(f.BudgetResults) > 0 }
 
 // Facts is the cross-package store, keyed by FactKey strings.
 type Facts struct {
@@ -77,9 +70,6 @@ func NewFacts() *Facts { return &Facts{funcs: map[string]FuncFact{}} }
 
 // Func returns the fact for key, and whether one was recorded.
 func (f *Facts) Func(key string) (FuncFact, bool) {
-	if f == nil || key == "" {
-		return FuncFact{}, false
-	}
 	fact, ok := f.funcs[key]
 	return fact, ok
 }
@@ -91,25 +81,6 @@ func (f *Facts) SetFunc(key string, fact FuncFact) {
 		return
 	}
 	f.funcs[key] = fact
-}
-
-// Len returns the number of recorded function facts.
-func (f *Facts) Len() int { return len(f.funcs) }
-
-// Encode serializes the store. encoding/json sorts map keys, so the
-// encoding is deterministic — byte-identical across runs and worker
-// counts for the same analyzed set.
-func (f *Facts) Encode() ([]byte, error) {
-	return json.Marshal(f.funcs)
-}
-
-// DecodeFacts rebuilds a store from Encode output.
-func DecodeFacts(data []byte) (*Facts, error) {
-	funcs := map[string]FuncFact{}
-	if err := json.Unmarshal(data, &funcs); err != nil {
-		return nil, fmt.Errorf("analyzers: decoding facts: %w", err)
-	}
-	return &Facts{funcs: funcs}, nil
 }
 
 // FactKey canonicalizes a function object to its cross-package key,

@@ -5,79 +5,37 @@ import (
 	"testing"
 )
 
-func TestFactsEncodeDecodeRoundTrip(t *testing.T) {
-	f := NewFacts()
-	f.SetFunc("example.com/p.Tainted", FuncFact{Tainted: true, TaintReason: "ranges over a map at x.go:3"})
-	f.SetFunc("example.com/p.(Eng).ErrorBudget", FuncFact{BudgetResults: []int{0}})
-	f.SetFunc("example.com/p.Drain", FuncFact{HasBudgetParam: true, SinksBudget: true})
-	data, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := DecodeFacts(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != f.Len() {
-		t.Fatalf("round trip changed length: %d != %d", g.Len(), f.Len())
-	}
-	for _, key := range []string{"example.com/p.Tainted", "example.com/p.(Eng).ErrorBudget", "example.com/p.Drain"} {
-		want, _ := f.Func(key)
-		got, ok := g.Func(key)
-		if !ok {
-			t.Fatalf("key %q lost in round trip", key)
-		}
-		if got.Tainted != want.Tainted || got.TaintReason != want.TaintReason ||
-			got.HasBudgetParam != want.HasBudgetParam || got.SinksBudget != want.SinksBudget ||
-			len(got.BudgetResults) != len(want.BudgetResults) {
-			t.Fatalf("key %q: round trip %+v != %+v", key, got, want)
-		}
-	}
-	// Encoding is deterministic (encoding/json sorts map keys).
-	data2, err := g.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Fatalf("encoding not deterministic:\n%s\n%s", data, data2)
-	}
-}
-
 // TestFactKeyShapes pins the key grammar on a real loaded package:
 // package functions, methods (keyed by receiver type name), and
 // generic functions (keyed by origin, so instantiated call edges in
-// dependents resolve to the declaration's summary).
+// dependents resolve to the declaration's summary). It drives the
+// two-package detcall fixture DAG and reads the store the determinism
+// Facts hook filled through a probe analyzer.
 func TestFactKeyShapes(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "detcall", "helper")
-	loader, err := NewLoader(dir)
+	loader, err := fixtureLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := loader.RunDirs([]string{dir}, []*Analyzer{DetCallAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgPath := results[0].Pkg.Path
-	// Reconstruct the fact store the run produced by re-running the
-	// Facts hook through the public driver: the summaries of helper's
-	// functions must be recorded under the expected keys when the
-	// deterministic fixture package consumes them. Drive the full
-	// two-package DAG and inspect through a probe analyzer.
+	fixtureDir := filepath.Join("testdata", "src", "detcall")
 	var probed *Facts
 	probe := &Analyzer{Name: "probe", Facts: func(p *Pass) error { probed = p.Facts; return nil }}
-	fixtureDir := filepath.Join("testdata", "src", "detcall")
-	if _, err := loader.RunDirs([]string{fixtureDir, dir}, []*Analyzer{DetCallAnalyzer, probe}); err != nil {
+	results, err := loader.RunDirs([]string{fixtureDir, filepath.Join(fixtureDir, "helper")}, []*Analyzer{DeterminismAnalyzer, probe})
+	if err != nil {
 		t.Fatal(err)
 	}
+	fixture := results[0].Pkg.Path
+	pkgPath := fixture + "/helper"
 	for key, wantTainted := range map[string]bool{
-		pkgPath + ".SumVals":         true,
-		pkgPath + ".Stamp":           true,
-		pkgPath + ".Wrap":            true,
-		pkgPath + ".Vals":            true, // generic: origin key, no type args
-		pkgPath + ".(Table).Flatten": true, // method: receiver in parens
-		pkgPath + ".Sorted":          false,
-		pkgPath + ".Pure":            false,
-		pkgPath + ".(Table).Size":    false,
+		pkgPath + ".SumVals":             true,
+		pkgPath + ".Stamp":               true,
+		pkgPath + ".Wrap":                true,
+		pkgPath + ".Vals":                true, // generic: origin key, no type args
+		pkgPath + ".(Table).Flatten":     true, // method: receiver in parens
+		pkgPath + ".Sorted":              false,
+		pkgPath + ".Pure":                false,
+		pkgPath + ".(Table).Size":        false,
+		fixture + ".directTaintPositive": true, // tainted across the import edge
+		fixture + ".pureNegative":        false,
 	} {
 		fact, ok := probed.Func(key)
 		if !ok {
@@ -90,48 +48,21 @@ func TestFactKeyShapes(t *testing.T) {
 	}
 }
 
-// TestSyntacticPassesMissCrossPackageCases is the golden contrast:
-// the pre-facts in-package passes stay silent on the fixture packages
-// where the interprocedural analyzers report. Without it, the new
-// fixtures would not prove the new passes see anything the old ones
-// could not.
-func TestSyntacticPassesMissCrossPackageCases(t *testing.T) {
-	runOld := func(dir string, old []*Analyzer) []Diagnostic {
-		t.Helper()
-		loader, err := NewLoader(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirs, err := PackageDirs(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := loader.RunDirs(dirs, old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var diags []Diagnostic
-		for _, res := range results {
-			diags = append(diags, res.Diags...)
-		}
-		return diags
+// TestOtherPassesMissObsReads is the golden contrast for obswrite:
+// the determinism, overflow, rngfork and budget passes stay silent on
+// its fixture, so the obswrite fixture proves that pass sees
+// instrument reads no other pass could.
+func TestOtherPassesMissObsReads(t *testing.T) {
+	loader, err := fixtureLoader()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// budgetflow fixture: the statement-local budget pass sees nothing
-	// (every drop travels through a local or a non-sinking callee).
-	for _, d := range runOld(filepath.Join("testdata", "src", "budgetflow"), []*Analyzer{BudgetAnalyzer}) {
-		t.Errorf("budgetflow fixture: pre-facts budget pass unexpectedly sees: %s", d.Message)
+	results, err := loader.RunDirs([]string{filepath.Join("testdata", "src", "obswrite")},
+		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, RngForkAnalyzer, BudgetAnalyzer})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// obswrite fixture: the determinism/overflow/rngfork trio is blind
-	// to instrument reads.
-	for _, d := range runOld(filepath.Join("testdata", "src", "obswrite"),
-		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, RngForkAnalyzer, BudgetAnalyzer}) {
-		t.Errorf("obswrite fixture: pre-facts pass unexpectedly sees [%s]: %s", d.Analyzer, d.Message)
-	}
-	// detcall fixture: the determinism pass sees ONLY the deliberate
-	// in-package source (localTainted's map range) — every cross-package
-	// call the detcall fixture flags is invisible to it.
-	detDiags := runOld(filepath.Join("testdata", "src", "detcall"), []*Analyzer{DeterminismAnalyzer})
-	if len(detDiags) != 1 {
-		t.Fatalf("detcall fixture: determinism pass sees %d finding(s), want exactly the localTainted map range: %v", len(detDiags), detDiags)
+	for _, d := range results[0].Diags {
+		t.Errorf("obswrite fixture: another pass unexpectedly sees [%s]: %s", d.Analyzer, d.Message)
 	}
 }

@@ -179,19 +179,6 @@ func PackageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// Run loads dir and applies the given analyzers, returning raw
-// (unsuppressed) diagnostics sorted by position. Single-package
-// convenience over RunDirs: facts cover only this directory, so
-// cross-package summaries resolve to "unknown" (conservatively
-// quiet).
-func (l *Loader) Run(dir string, as []*Analyzer) (*Package, []Diagnostic, error) {
-	results, err := l.RunDirs([]string{dir}, as)
-	if err != nil {
-		return nil, nil, err
-	}
-	return results[0].Pkg, results[0].Diags, nil
-}
-
 // A PackageResult pairs one analyzed package with its raw
 // (unsuppressed) diagnostics, sorted by position.
 type PackageResult struct {
@@ -202,13 +189,11 @@ type PackageResult struct {
 // RunDirs analyzes the given package directories bottom-up over their
 // import DAG: dependencies are loaded and fact-computed before their
 // dependents, every analyzer's Facts hook runs before any Run hook of
-// the same package, and the fact store is serialized and re-decoded
-// between packages (so facts provably survive the round trip a
-// cache-backed driver would impose). Results are returned sorted by
-// import path regardless of analysis order, so output is stable. A
-// package that fails to load or type-check aborts the whole run with
-// an error naming it — its dependents' facts would silently be
-// incomplete otherwise.
+// the same package, and one in-memory fact store serves the whole
+// run. Results are returned sorted by import path regardless of
+// analysis order, so output is stable. A package that fails to load
+// or type-check aborts the whole run with an error naming it — its
+// dependents' facts would silently be incomplete otherwise.
 func (l *Loader) RunDirs(dirs []string, as []*Analyzer) ([]PackageResult, error) {
 	ordered, err := l.sortDirsByImports(dirs)
 	if err != nil {
@@ -256,13 +241,6 @@ func (l *Loader) RunDirs(dirs []string, as []*Analyzer) ([]PackageResult, error)
 			return diags[i].Analyzer < diags[j].Analyzer
 		})
 		results = append(results, PackageResult{Pkg: pkg, Diags: diags})
-		data, err := facts.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("analyzers: encoding facts after %s: %w", pkg.Path, err)
-		}
-		if facts, err = DecodeFacts(data); err != nil {
-			return nil, fmt.Errorf("analyzers: reloading facts after %s: %w", pkg.Path, err)
-		}
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Pkg.Path < results[j].Pkg.Path })
 	return results, nil

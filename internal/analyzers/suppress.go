@@ -11,8 +11,8 @@ import (
 const (
 	directivePrefix = "//nrlint:"
 	// DeterministicDirective marks a package as bound by the
-	// bit-identical-results contract; the determinism, overflow and
-	// rngfork passes apply only inside such packages.
+	// bit-identical-results contract; the determinism, obswrite,
+	// overflow and rngfork passes apply only inside such packages.
 	DeterministicDirective = "//nrlint:deterministic"
 	allowDirective         = "//nrlint:allow"
 )

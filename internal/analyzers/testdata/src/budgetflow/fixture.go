@@ -1,10 +1,10 @@
-// Package budgetflow is the analysistest fixture for the budgetflow
-// analyzer: budget-carrying call results captured in locals must
-// reach a return, a += accumulator, or a sinking call before scope
-// ends. Positive cases drop the mass (comparison-only callees,
-// blank-discarded copies, type-erased wrapper results); negative
-// cases discharge it (return, +=, transfer-then-drain, sinking
-// callees).
+// Package budgetflow is the analysistest fixture for the budget
+// analyzer's def-use half: budget-carrying call results captured in
+// locals must reach a return, a += accumulator, or a sinking call
+// before scope ends. Positive cases drop the mass (comparison-only
+// callees, blank-discarded copies, type-erased wrapper results);
+// negative cases discharge it (return, +=, transfer-then-drain,
+// sinking callees).
 package budgetflow
 
 import (
@@ -83,7 +83,11 @@ func storedNegative(e *helper.Eng) map[string]helper.Budget {
 }
 
 func allowedNegative() {
-	//nrlint:allow budgetflow -- warm-up draw, mass re-accrued by the measured run
+	//nrlint:allow budget -- warm-up draw, mass re-accrued by the measured run
 	w := helper.Mk()
 	_ = helper.Mag(w)
+}
+
+func discardedWrapperPositive(e *helper.Eng) {
+	helper.AccruedMass(e) // want `budget-carrying result of helper\.AccruedMass is discarded`
 }

@@ -1,12 +1,12 @@
-// Package detcall is the analysistest fixture for the detcall
-// analyzer: a //nrlint:deterministic package calling into the
-// un-annotated helper subpackage. Positive cases are calls whose
-// callees transitively reach a nondeterminism source — invisible to
-// the in-package determinism pass, caught only through the
+// Package detcall is the analysistest fixture for the determinism
+// analyzer's cross-package half: a //nrlint:deterministic package
+// calling into the un-annotated helper subpackage. Positive cases are
+// calls whose callees transitively reach a nondeterminism source —
+// no source site in this package, caught only through the
 // interprocedural taint facts. Negative cases: clean helpers, the
 // sorted-keys helper, generic instantiation of a clean function path,
-// same-package tainted calls (owned by the determinism pass), and a
-// justified allow.
+// same-package tainted calls (the local source is flagged instead),
+// and a justified allow.
 //
 //nrlint:deterministic
 package detcall
@@ -55,21 +55,21 @@ func methodCleanNegative(t *helper.Table) int {
 	return t.Size() // clean method on a type with a tainted sibling: no finding
 }
 
-// localTainted ranges a map in THIS package: the determinism pass owns
-// that source site, so detcall must not double-report calls to it.
+// localTainted ranges a map in THIS package: the source site itself is
+// the finding, so calls to it are not reported a second time.
 func localTainted(m map[string]int) int {
 	n := 0
-	for _, v := range m {
+	for _, v := range m { // want `range over map m iterates in randomized order`
 		n ^= v
 	}
 	return n
 }
 
 func samePackageNegative(m map[string]int) int {
-	return localTainted(m) // same-package call: no detcall finding
+	return localTainted(m) // same-package call: no finding
 }
 
 func allowedNegative(m map[string]float64) float64 {
-	//nrlint:allow detcall -- diagnostics-only path, result never reaches simulation state
+	//nrlint:allow determinism -- diagnostics-only path, result never reaches simulation state
 	return helper.SumVals(m)
 }

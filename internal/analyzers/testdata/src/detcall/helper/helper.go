@@ -2,7 +2,7 @@
 // none of these functions are flagged here (no //nrlint:deterministic
 // directive), but their taint summaries are exported as facts, and
 // calls into the tainted ones from the deterministic fixture package
-// are the findings the pre-facts syntactic passes provably missed.
+// are findings no in-package check can see.
 package helper
 
 import (
