@@ -59,16 +59,24 @@ test:
 race:
 	$(GO) test -race -shuffle=on -timeout 30m ./...
 
-# fuzz runs the majority-law fuzz target for FUZZTIME: FuzzMajorityLaw
-# pins MajorityLaw to the frozen rival DP (bit for bit at k = 3 and for
-# point masses, within the two dropped masses at k = 2 and k ≥ 4), bounds its
-# dropped mass, checks that relabelling opinions relabels the law, and
-# checks it against exhaustive enumeration at small ℓ. Go's native fuzzer needs no download. A failing input is
-# written under internal/census/testdata/fuzz/FuzzMajorityLaw/; rename
-# it to say what it covers and commit it, so plain `go test` replays it.
+# fuzz runs every fuzz target, one `go test -fuzz` per target, each
+# for FUZZTIME. FuzzMajorityLaw pins MajorityLaw to the frozen rival
+# DP (bit for bit at k = 3 and for point masses, within the two
+# dropped masses at k = 2 and k ≥ 4), bounds its dropped mass, checks
+# that relabelling opinions relabels the law, and checks it against
+# exhaustive enumeration at small ℓ. FuzzCheckpointJournal feeds the
+# sweep's journal reader arbitrary bytes: it must never panic, and
+# every entry it keeps must carry a CRC that verifies. Go's native
+# fuzzer needs no download. A failing input is written under the
+# package's testdata/fuzz/<target>/; rename it to say what it covers
+# and commit it, so plain `go test` replays it.
 FUZZTIME ?= 30s
+FUZZ_TARGETS := internal/census:FuzzMajorityLaw internal/sweep:FuzzCheckpointJournal
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzMajorityLaw$$' -fuzztime $(FUZZTIME) ./internal/census
+	@set -e; for t in $(FUZZ_TARGETS); do \
+	    echo "fuzz $${t#*:} ($(FUZZTIME))"; \
+	    $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*}; \
+	done
 
 # A tiny 3-point grid through the cmd/sweep flag surface under the
 # race detector: proves the sweep worker fan-out end to end.

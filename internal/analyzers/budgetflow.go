@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // This file is the interprocedural half of the budget pass: the
@@ -11,23 +12,43 @@ import (
 // its Run hook applies to every function body.
 
 // budgetFlowFacts summarizes every declared function: budget-carrying
-// result positions and whether Budget-typed parameters sink.
+// result positions and whether Budget-typed parameters sink. A summary
+// reads its callees' facts, so a wrapper declared before the function
+// it wraps needs another round: the summaries are recomputed until no
+// fact changes. Between rounds results only gain positions and
+// parameters only lose sinks (an unsummarized callee counts as one),
+// so the loop ends.
 func budgetFlowFacts(pass *Pass) error {
+	type funcDecl struct {
+		fd *ast.FuncDecl
+		fn *types.Func
+	}
+	var decls []funcDecl
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
+			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
+				decls = append(decls, funcDecl{fd, fn})
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, d := range decls {
+			key := FactKey(d.fn)
+			fact, seen := pass.Facts.Func(key)
+			results := budgetResultIndices(pass, d.fd, d.fn)
+			hasParam, sinks := paramSinkSummary(pass, d.fd, d.fn)
+			if seen && slices.Equal(results, fact.BudgetResults) &&
+				hasParam == fact.HasBudgetParam && sinks == fact.SinksBudget {
 				continue
 			}
-			key := FactKey(fn)
-			fact, _ := pass.Facts.Func(key)
-			fact.BudgetResults = budgetResultIndices(pass, fd, fn)
-			fact.HasBudgetParam, fact.SinksBudget = paramSinkSummary(pass, fd, fn)
+			fact.BudgetResults, fact.HasBudgetParam, fact.SinksBudget = results, hasParam, sinks
 			pass.Facts.SetFunc(key, fact)
+			changed = true
 		}
 	}
 	return nil

@@ -24,13 +24,14 @@ func Mk() Budget { return 0.25 }
 // MkTwo returns a budget in result position 1.
 func MkTwo() (int, Budget) { return 3, 0.5 }
 
-// raw erases the accessor's Budget type to float64.
-func (e *Eng) raw() float64 { return float64(e.ErrorBudget()) }
-
 // AccruedMass is the wrapper a type-based check cannot see: the
 // Budget type is erased behind raw, a call without arguments, but the
-// returned value is still the engine's accrued mass.
+// returned value is still the engine's accrued mass. It is declared
+// before raw, so its summary needs the intra-package fixpoint.
 func AccruedMass(e *Eng) float64 { return e.raw() }
+
+// raw erases the accessor's Budget type to float64.
+func (e *Eng) raw() float64 { return float64(e.ErrorBudget()) }
 
 // ledger is where Drain deposits mass.
 var ledger float64

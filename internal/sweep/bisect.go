@@ -3,8 +3,6 @@ package sweep
 import (
 	"fmt"
 	"math"
-
-	"github.com/gossipkit/noisyrumor/internal/obs"
 )
 
 // Bisect is an adaptive search for the critical channel parameter
@@ -163,14 +161,15 @@ func (r Runner) RunBisect(b Bisect) (*BisectResult, error) {
 	}
 	defer ck.abandon()
 	res := &BisectResult{BandLo: math.Inf(1), BandHi: math.Inf(-1), Salvaged: ck.salvagedCount()}
-	runners := r.newTrialRunners(r.workers())
+	pool := r.startPool()
+	defer pool.stop()
 	eval := func(eps float64) (BisectEval, error) {
 		idx := len(res.Evals)
-		t0 := obs.Now(r.Obs.Clock)
+		var t0 int64
 		pr, ok := ck.get(idx)
 		if !ok {
 			var err error
-			pr, err = r.evalPointAdaptive(b.point(idx, eps), b.Batch, runners)
+			pr, t0, err = r.evalPointAdaptive(pool, b.point(idx, eps), b.Batch)
 			if err != nil {
 				return BisectEval{}, err
 			}

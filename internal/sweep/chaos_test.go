@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/gossipkit/noisyrumor/internal/core"
 	"github.com/gossipkit/noisyrumor/internal/model"
@@ -341,5 +343,81 @@ func TestChaosBisectQuarantineAborts(t *testing.T) {
 	}.RunBisect(b)
 	if err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("quarantined bisect eval returned %v, want an abort naming the quarantine", err)
+	}
+}
+
+// failingWriter is a journal append handle whose every write fails,
+// as a disk that went away mid-run would leave it.
+type failingWriter struct{ io.WriteCloser }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("chaos: disk gone") }
+
+// goroutinesSettle waits for the goroutine count to fall back to base
+// and returns the last count seen. A worker that has signalled its
+// pool's WaitGroup is still counted until it has fully exited, so the
+// count is polled briefly instead of read once.
+func goroutinesSettle(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestChaosNoGoroutineOutlivesRun: a run's trial pool and everything
+// it started are gone when the run returns, whether it finished or
+// aborted through the breaker (a quarantine streak), an unclassified
+// trial error or a failing journal writer, with points still in
+// flight behind the one that failed.
+func TestChaosNoGoroutineOutlivesRun(t *testing.T) {
+	unclassified := func(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut {
+		if p.Index == 2 {
+			return trialOut{err: errors.New("chaos: bad knob")}
+		}
+		return runTrial(p, nm, counts, t, r, cr, mm)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		run  func() error
+		want string // "" = the run must succeed
+	}{
+		{"grid ok", func() error { _, err := Runner{Seed: 7, Workers: 4}.RunGrid(testGrid()); return err }, ""},
+		{"scaling ok", func() error { _, err := Runner{Seed: 7, Workers: 4}.RunScaling(testScaling()); return err }, ""},
+		{"bisect ok", func() error { _, err := Runner{Seed: 7, Workers: 4}.RunBisect(testBisect(40)); return err }, ""},
+		{"breaker", func() error {
+			_, err := Runner{Seed: 7, Workers: 4, trial: panicAt(func(int, int) bool { return true })}.RunGrid(testGrid())
+			return err
+		}, "breaker"},
+		{"unclassified trial error", func() error {
+			_, err := Runner{Seed: 7, Workers: 4, trial: unclassified}.RunGrid(testGrid())
+			return err
+		}, "point 2 trial 0: chaos: bad knob"},
+		{"failing journal", func() error {
+			_, err := Runner{
+				Seed: 7, Workers: 4, Checkpoint: filepath.Join(dir, "gone.json"),
+				journal: func(w io.WriteCloser) io.WriteCloser { return failingWriter{w} },
+			}.RunGrid(testGrid())
+			return err
+		}, "point 0 could not be persisted"},
+		{"bisect quarantine", func() error {
+			_, err := Runner{Seed: 7, Workers: 4, trial: panicAt(func(p, t int) bool { return p == 1 })}.RunBisect(testBisect(40))
+			return err
+		}, "quarantined"},
+	} {
+		base := runtime.NumGoroutine()
+		err := c.run()
+		switch {
+		case c.want == "" && err != nil:
+			t.Fatalf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Fatalf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+		if n := goroutinesSettle(base); n > base {
+			t.Fatalf("%s: %d goroutines after the run, %d before", c.name, n, base)
+		}
 	}
 }

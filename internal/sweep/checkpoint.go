@@ -107,7 +107,7 @@ func readCheckpointFile(path string) (*checkpointFile, error) {
 	if nl >= 0 {
 		headerLine = data[:nl]
 	}
-	cf := &checkpointFile{entries: map[int]checkpointEntry{}, canonical: true}
+	cf := &checkpointFile{entries: map[int]checkpointEntry{}}
 	if err := json.Unmarshal(headerLine, &cf.header); err != nil {
 		if sniffSchema(data) == checkpointSchemaV1 {
 			return nil, fmt.Errorf("checkpoint %s uses the retired v1 format (one JSON document); this build reads the v2 line journal — delete the file and re-run, the sweep will recompute it", path)
@@ -117,6 +117,10 @@ func readCheckpointFile(path string) (*checkpointFile, error) {
 	if cf.header.Schema != checkpointSchema {
 		return nil, fmt.Errorf("checkpoint %s has schema %q, want %q", path, cf.header.Schema, checkpointSchema)
 	}
+	// A file that does not end in a newline lost the end of its last
+	// write, even when that line's JSON is whole. It is not canonical,
+	// so a resume rewrites it before an append can land on that line.
+	cf.canonical = data[len(data)-1] == '\n'
 	if nl < 0 {
 		// Header only, no newline: a write torn before the first entry.
 		return cf, nil
@@ -277,6 +281,9 @@ func (r Runner) openCheckpoint(mode string, spec any) (*checkpoint, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if r.journal != nil {
+		ck.f = r.journal(ck.f)
 	}
 	r.observeCheckpointOpen(ck)
 	return ck, nil

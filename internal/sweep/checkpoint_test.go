@@ -277,3 +277,129 @@ func TestCheckpointShardCustody(t *testing.T) {
 		}
 	}
 }
+
+// writeTestJournal writes a complete journal of keys entries through
+// put and close and returns its bytes.
+func writeTestJournal(t testing.TB, path string, keys int) []byte {
+	t.Helper()
+	ck, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{Name: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < keys; k++ {
+		if err := ck.put(k, testPointResult(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointTornAtEveryOffset: a journal cut at any byte offset —
+// wherever a crash stopped the last write — keeps exactly the entries
+// whose JSON it holds in full, reports a partial line as one salvaged
+// entry, and resumes onto canonical bytes. A cut inside the header is
+// an error naming it; a header that lost only its newline opens empty.
+func TestCheckpointTornAtEveryOffset(t *testing.T) {
+	const keys = 4
+	dir := t.TempDir()
+	data := writeTestJournal(t, filepath.Join(dir, "full.json"), keys)
+	lines := bytes.SplitAfter(data, []byte("\n"))[:keys+1]
+	ends := make([]int, len(lines)) // ends[i]: offset just past line i's JSON
+	off := 0
+	for i, line := range lines {
+		off += len(line)
+		ends[i] = off - 1
+	}
+	path := filepath.Join(dir, "torn.json")
+	for cut := 0; cut <= len(data); cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cf, err := readCheckpointFile(path)
+		if cut < ends[0] {
+			if err == nil || !strings.Contains(err.Error(), "header") {
+				t.Fatalf("cut %d inside the header: error %v, want an unreadable header", cut, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		kept, partial := 0, false
+		for k := 0; k < keys; k++ {
+			start := ends[k] + 1
+			switch {
+			case cut >= ends[k+1]:
+				kept++
+			case cut > start:
+				partial = true
+			}
+		}
+		if len(cf.entries) != kept {
+			t.Fatalf("cut %d: kept %d entries, want the %d complete ones", cut, len(cf.entries), kept)
+		}
+		for k := 0; k < kept; k++ {
+			want := bytes.TrimSuffix(lines[k+1], []byte("\n"))
+			var got bytes.Buffer
+			writeEntryLine(&got, cf.entries[k])
+			if !bytes.Equal(bytes.TrimSuffix(got.Bytes(), []byte("\n")), want) {
+				t.Fatalf("cut %d: entry %d changed in salvage", cut, k)
+			}
+		}
+		wantSalvaged := 0
+		if partial {
+			wantSalvaged = 1
+		}
+		if cf.salvaged != wantSalvaged {
+			t.Fatalf("cut %d: salvaged %d, want %d", cut, cf.salvaged, wantSalvaged)
+		}
+		// Resume normalizes the file: header and the kept lines.
+		ck, err := openCheckpointFile(path, "grid", 7, DefaultZ, Shard{}, ckTestSpec{Name: "x"})
+		if err != nil {
+			t.Fatalf("cut %d: resume: %v", cut, err)
+		}
+		if err := ck.close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mustRead(t, path), bytes.Join(lines[:kept+1], nil); !bytes.Equal(got, want) {
+			t.Fatalf("cut %d: resumed journal is not the canonical kept prefix:\n%q\nwant\n%q", cut, got, want)
+		}
+	}
+}
+
+// FuzzCheckpointJournal: on arbitrary bytes, reading a journal never
+// panics, and every entry it keeps carries a CRC that verifies. The
+// seeds are a complete journal, the same journal torn mid-entry and
+// with a flipped payload byte, and a header alone.
+func FuzzCheckpointJournal(f *testing.F) {
+	data := writeTestJournal(f, filepath.Join(f.TempDir(), "seed.json"), 3)
+	f.Add(data)
+	f.Add(data[:len(data)-7])
+	f.Add(bytes.Replace(data, []byte(`"successes":1`), []byte(`"successes":2`), 1))
+	f.Add(data[:bytes.IndexByte(data, '\n')+1])
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cf, err := readCheckpointFile(path)
+		if err != nil {
+			return // a header that names no v2 journal is the one fatal case
+		}
+		for key, ent := range cf.entries {
+			if ent.Key != key || ent.CRC != entryCRC(ent.Result) {
+				t.Fatalf("kept entry %d (key %d) fails its CRC %s", key, ent.Key, ent.CRC)
+			}
+		}
+		if cf.salvaged < 0 || cf.salvaged > bytes.Count(journal, []byte("\n")) {
+			t.Fatalf("salvaged %d of at most %d entry lines", cf.salvaged, bytes.Count(journal, []byte("\n")))
+		}
+	})
+}

@@ -1,11 +1,6 @@
 package sweep
 
-import (
-	"fmt"
-
-	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/resilience"
-)
+import "fmt"
 
 // Grid is a cartesian parameter fan: every combination of the listed
 // axes becomes one Point, enumerated in a fixed order (matrix-major,
@@ -156,34 +151,17 @@ func (r Runner) RunGrid(g Grid) (*GridResult, error) {
 	}
 	defer ck.abandon()
 	res := &GridResult{Shard: r.Shard.ptr(), Salvaged: ck.salvagedCount()}
-	runners := r.newTrialRunners(r.workers())
-	breaker := resilience.NewBreaker(breakAfter)
-	for _, p := range pts {
-		if !r.Shard.Owns(p.Index) {
-			continue
-		}
-		t0 := obs.Now(r.Obs.Clock)
-		pr, ok := ck.get(p.Index)
-		if !ok {
-			pr, err = r.evalPoint(p, runners)
-			if err != nil {
-				return nil, err
+	err = r.runPoints(pts, ck, func(p Point) string { return fmt.Sprintf("grid aborted at point %d", p.Index) },
+		func(p Point, pr PointResult) {
+			if pr.Error != nil {
+				res.Quarantined = append(res.Quarantined, p.Index)
 			}
-			if err := r.putCheckpoint(ck, p.Index, pr); err != nil {
-				return nil, err
-			}
-		}
-		r.observePoint(pr, t0, !ok)
-		breaker.Record(pr.Error != nil)
-		if err := breaker.Err(); err != nil {
-			return nil, fmt.Errorf("grid aborted at point %d: %w", p.Index, err)
-		}
-		if pr.Error != nil {
-			res.Quarantined = append(res.Quarantined, p.Index)
-		}
-		res.Points = append(res.Points, pr)
-		res.ErrorBudget += pr.ErrorBudget
-		res.QuantBudget += pr.QuantBudget
+			res.Points = append(res.Points, pr)
+			res.ErrorBudget += pr.ErrorBudget
+			res.QuantBudget += pr.QuantBudget
+		})
+	if err != nil {
+		return nil, err
 	}
 	if err := ck.close(); err != nil {
 		return nil, err

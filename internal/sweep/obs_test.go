@@ -92,6 +92,13 @@ func TestObsBitIdentity(t *testing.T) {
 		if trace.Len() == 0 {
 			t.Fatalf("workers=%d: tracer emitted nothing", workers)
 		}
+		// Points overlap in flight, so every trial event must name the
+		// point it belongs to, and each point its own trials.
+		evaluated := map[float64]bool{}
+		for _, pr := range plainRes.Points {
+			evaluated[float64(pr.Point.Index)] = true
+		}
+		trialsOf := map[float64]int{}
 		for i, line := range strings.Split(strings.TrimRight(trace.String(), "\n"), "\n") {
 			var ev map[string]any
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -99,6 +106,18 @@ func TestObsBitIdentity(t *testing.T) {
 			}
 			if ev["ev"] == "" || ev["ev"] == nil {
 				t.Fatalf("workers=%d: trace line %d has no ev field: %s", workers, i, line)
+			}
+			if ev["ev"] == "trial" {
+				p, ok := ev["point"].(float64)
+				if !ok || !evaluated[p] {
+					t.Fatalf("workers=%d: trial event names no point the run evaluated: %s", workers, line)
+				}
+				trialsOf[p]++
+			}
+		}
+		for p := range evaluated {
+			if trialsOf[p] != g.Trials {
+				t.Fatalf("workers=%d: point %v has %d trial events, want %d", workers, p, trialsOf[p], g.Trials)
 			}
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/resilience"
 	"github.com/gossipkit/noisyrumor/internal/stats"
 )
 
@@ -116,39 +114,21 @@ func (r Runner) RunScaling(s Scaling) (*ScalingResult, error) {
 	}
 	defer ck.abandon()
 	res := &ScalingResult{Shard: r.Shard.ptr(), Salvaged: ck.salvagedCount()}
-	runners := r.newTrialRunners(r.workers())
-	breaker := resilience.NewBreaker(breakAfter)
 	var x, y []float64
-	for _, p := range pts {
-		i, n := p.Index, p.N
-		if !r.Shard.Owns(i) {
-			continue
-		}
-		t0 := obs.Now(r.Obs.Clock)
-		pr, ok := ck.get(i)
-		if !ok {
-			pr, err = r.evalPoint(p, runners)
-			if err != nil {
-				return nil, err
+	err = r.runPoints(pts, ck, func(p Point) string { return fmt.Sprintf("scaling aborted at n=%d", p.N) },
+		func(p Point, pr PointResult) {
+			res.Points = append(res.Points, pr)
+			res.ErrorBudget += pr.ErrorBudget
+			res.QuantBudget += pr.QuantBudget
+			if pr.Error != nil {
+				res.Quarantined = append(res.Quarantined, p.Index)
+				return // a quarantined point contributes nothing to the fit
 			}
-			if err := r.putCheckpoint(ck, i, pr); err != nil {
-				return nil, err
-			}
-		}
-		r.observePoint(pr, t0, !ok)
-		breaker.Record(pr.Error != nil)
-		if err := breaker.Err(); err != nil {
-			return nil, fmt.Errorf("scaling aborted at n=%d: %w", n, err)
-		}
-		res.Points = append(res.Points, pr)
-		res.ErrorBudget += pr.ErrorBudget
-		res.QuantBudget += pr.QuantBudget
-		if pr.Error != nil {
-			res.Quarantined = append(res.Quarantined, i)
-			continue // a quarantined point contributes nothing to the fit
-		}
-		x = append(x, math.Log(float64(n)))
-		y = append(y, pr.MeanRounds)
+			x = append(x, math.Log(float64(p.N)))
+			y = append(y, pr.MeanRounds)
+		})
+	if err != nil {
+		return nil, err
 	}
 	// The log-law fit only makes sense over the full curve: a sharded
 	// run leaves Fit zero for the post-merge single-host resume, and a

@@ -11,7 +11,7 @@
 // per-phase cost (internal/census) makes that affordable; this
 // package supplies the orchestration:
 //
-//   - Grid — the cartesian fan (matrix, k, ε, δ, n, c) evaluated
+//   - Grid — the cartesian fan (matrix, k, ε, δ, n, c) committed
 //     point by point, success rates with Wilson intervals;
 //   - Bisect — adaptive bisection locating the critical channel ε*
 //     where the success probability crosses 1/2, with Wilson-interval
@@ -37,12 +37,18 @@
 // the TV bound on substituting the cached law, reported separately as
 // QuantBudget (DESIGN.md §2).
 //
-// Hot loop: each worker goroutine owns one core.CensusRunner whose
-// census engine is reused (Reset, not re-New) across every trial of
-// every point, and all workers share one Stage-2 law cache
-// (Runner.Cache, or a per-sweep private one) — reuse is invisible in
-// results by the engine's Reset contract, so the determinism
-// guarantees above survive unchanged.
+// Hot loop: each RunGrid, RunScaling or RunBisect call runs one trial
+// pool of long-lived worker goroutines. Each worker owns one
+// core.CensusRunner whose census engine is reused (Reset, not re-New)
+// across every trial of every point, and all workers share one
+// Stage-2 law cache (Runner.Cache, or a per-sweep private one). Grids
+// and scaling curves keep several points per worker in flight, so the
+// next points' trials fill the workers while the oldest point's
+// stragglers finish, and commit results strictly in point order; a
+// bisection's evaluations run one after another on the same pool.
+// Reuse and overlap are invisible in results (the engine's Reset
+// contract, trial slots keyed by index), so the determinism guarantees
+// above survive unchanged.
 //
 // The package declares the nrlint determinism contract: results are
 // a pure function of (spec, seed) at any worker count, enforced by
@@ -53,9 +59,11 @@ package sweep
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/gossipkit/noisyrumor/internal/census"
@@ -191,6 +199,9 @@ type Runner struct {
 	// trial runs one trial; nil means runTrial. Tests substitute a
 	// panicking trial to reach quarantine.
 	trial func(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut
+	// journal wraps the checkpoint's append handle; nil keeps the file.
+	// Tests substitute a failing writer to reach the write abort.
+	journal func(io.WriteCloser) io.WriteCloser
 }
 
 // breakAfter is the quarantine streak that trips the run-level
@@ -241,23 +252,158 @@ func defaultPointParams(protoEps, c, lawQuant, censusTol float64) core.Params {
 	return params
 }
 
-// newTrialRunners builds one reusable census runner per worker, all
-// sharing one law cache: the allocation-free hot path of the sweep —
-// a worker's engine (buffers, evaluator) persists across every trial
-// of every point it executes, and quantized law evaluations are
-// shared across workers. Reuse is invisible in results (the engine
-// Reset contract), so worker-count determinism is preserved.
-func (r Runner) newTrialRunners(workers int) []*core.CensusRunner {
+// windowPerWorker is how many points RunGrid and RunScaling keep in
+// flight per pool worker: the next points' trials keep every worker
+// busy while the oldest point's stragglers finish, and the bound keeps
+// the results held for in-order commit small. On grid-k2 at two
+// workers (2-vCPU VM), 2, 4, 8 and 16 cost the same CPU, and the
+// CLI's wall time fell from 83 to 78, 73 and 71 ms (DESIGN.md §4).
+const windowPerWorker = 8
+
+// batch is trials start..start+len(out)−1 of one point, in flight on a
+// trialPool. Workers claim trials through next and write out[t−start],
+// a slot keyed by the trial index, so which worker ran which trial
+// never reaches the results.
+type batch struct {
+	p         Point
+	nm        *noise.Matrix
+	counts    []int64
+	pointSeed uint64
+	start     int
+	out       []trialOut
+
+	next    atomic.Int64  // offset of the next unclaimed trial
+	pending atomic.Int64  // trials not yet finished
+	done    chan struct{} // closed by the worker that finishes the last trial
+	// startNS is the obs clock reading at the start of the point's trial
+	// 0, set by the worker that runs it (in the batch holding trial 0)
+	// before done closes.
+	startNS int64
+}
+
+// trialPool runs batches' trials on long-lived workers, one pool per
+// RunGrid, RunScaling or RunBisect call. Each worker owns one
+// core.CensusRunner whose engine is reused (and reset) across every
+// trial it runs, and all workers share one Stage-2 law cache. Reuse is
+// invisible in results (the engine's Reset contract).
+type trialPool struct {
+	r       Runner
+	workers int
+	// jobs carries one copy of a batch per worker that should join it.
+	// Its buffer holds one copy per point of a full window; a sender
+	// that finds it full waits for a worker that is finishing a trial.
+	jobs    chan *batch
+	stopped atomic.Bool // set by stop: workers claim no further trials
+	wg      sync.WaitGroup
+}
+
+// startPool starts r.workers() pool workers. The caller must call stop.
+func (r Runner) startPool() *trialPool {
 	cache := r.Cache
 	if cache == nil {
 		cache = census.NewLawCache()
 	}
-	out := make([]*core.CensusRunner, workers)
-	for i := range out {
-		out[i] = core.NewCensusRunner(cache)
-		out[i].SetObs(r.Obs.Census, r.Obs.Tracer, r.Obs.Clock)
+	workers := r.workers()
+	pool := &trialPool{r: r, workers: workers, jobs: make(chan *batch, windowPerWorker*workers)}
+	for w := 0; w < workers; w++ {
+		cr := core.NewCensusRunner(cache)
+		cr.SetObs(r.Obs.Census, r.Obs.Tracer, r.Obs.Clock)
+		pool.wg.Add(1)
+		go pool.work(w, cr)
 	}
-	return out
+	return pool
+}
+
+// stop ends the pool: trials not yet claimed are skipped, and stop
+// returns once every worker has exited. On success every batch has
+// already finished; on an abort this drains what is in flight.
+func (pool *trialPool) stop() {
+	pool.stopped.Store(true)
+	close(pool.jobs)
+	pool.wg.Wait()
+}
+
+// work is worker w's loop: it claims trials of each batch it receives
+// until the batch has none left, running them through cr. The
+// per-worker trial and busy-time telemetry records the
+// (scheduling-dependent) split without ever feeding back into it.
+func (pool *trialPool) work(w int, cr *core.CensusRunner) {
+	defer pool.wg.Done()
+	r := pool.r
+	// Capture the worker-labeled children once so the per-trial writes
+	// skip the label lookup.
+	var workerTrials *obs.Counter
+	var workerBusy *obs.Gauge
+	m := r.Obs.Metrics
+	if m != nil {
+		lbl := strconv.Itoa(w)
+		workerTrials = m.workerTrials.With(lbl)
+		workerBusy = m.workerBusy.With(lbl)
+	}
+	clk := r.Obs.Clock
+	for b := range pool.jobs {
+		for !pool.stopped.Load() {
+			i, ok := checked.Int(b.next.Add(1) - 1)
+			if !ok || i >= len(b.out) {
+				break
+			}
+			t := b.start + i
+			t0 := obs.Now(clk)
+			if t == 0 {
+				b.startNS = t0
+			}
+			b.out[i] = r.resilientTrial(b.p, b.nm, b.counts, t, b.pointSeed, cr)
+			if m != nil {
+				m.trials.Inc()
+				workerTrials.Inc()
+				workerBusy.Add(obs.SinceSeconds(clk, t0))
+			}
+			if tr := r.Obs.Tracer; tr != nil {
+				tr.Event("trial",
+					obs.F("point", b.p.Index),
+					obs.F("trial", t),
+					obs.F("worker", w),
+					obs.F("dur_ns", obs.Now(clk)-t0))
+			}
+			if b.pending.Add(-1) == 0 {
+				close(b.done)
+			}
+		}
+	}
+}
+
+// pointInputs resolves what every trial of p reads: its channel and
+// its initial census.
+func pointInputs(p Point) (*noise.Matrix, []int64, error) {
+	nm, err := BuildMatrix(p.Matrix, p.K, p.ChannelEps)
+	if err != nil {
+		return nil, nil, fmt.Errorf("point %d: %w", p.Index, err)
+	}
+	counts, err := InitialCounts(p.N, p.K, p.Delta)
+	if err != nil {
+		return nil, nil, fmt.Errorf("point %d: %w", p.Index, err)
+	}
+	return nm, counts, nil
+}
+
+// startBatch submits trials start..start+count−1 of point p (channel
+// nm, initial census counts) to the pool: one copy of the batch per
+// worker that can take a trial of it. Trial t's stream is
+// ForkSeed(ForkSeed(Seed, p.Index), t), a pure function of position,
+// so any worker count yields identical results. count must be ≥ 1.
+func (r Runner) startBatch(pool *trialPool, p Point, nm *noise.Matrix, counts []int64, start, count int) *batch {
+	b := &batch{
+		p: p, nm: nm, counts: counts,
+		pointSeed: rng.ForkSeed(r.Seed, uint64(p.Index)),
+		start:     start,
+		out:       make([]trialOut, count),
+		done:      make(chan struct{}),
+	}
+	b.pending.Store(int64(count))
+	for i := min(pool.workers, count); i > 0; i-- {
+		pool.jobs <- b
+	}
+	return b
 }
 
 // BuildMatrix constructs a named noise matrix: uniform | binary |
@@ -471,126 +617,127 @@ func (r Runner) resilientTrial(p Point, nm *noise.Matrix, counts []int64, t int,
 	return run(p, nm, counts, t, rng.New(rng.ForkSeed(pointSeed, uint64(t))), cr, r.Obs.Model)
 }
 
-// parallelTrials runs trials start..start+count−1 of point p (channel
-// nm, initial census counts) over a bounded worker pool, in trial
-// order. Trial t's stream is ForkSeed(pointSeed, t) — a pure function
-// of position, so any worker count yields identical results. Worker w
-// executes its trials through runners[w], whose engine is reused (and
-// reset) per trial; which worker runs which trial does not affect
-// results — the per-worker trial and busy-time telemetry records the
-// (scheduling-dependent) split without ever feeding back into it.
-// Each trial runs under resilientTrial, which contains panics.
-func (r Runner) parallelTrials(runners []*core.CensusRunner, p Point, nm *noise.Matrix, counts []int64,
-	start, count int, pointSeed uint64) []trialOut {
-
-	out := make([]trialOut, count)
-	if count == 0 {
-		return out
-	}
-	workers := len(runners)
-	if workers > count {
-		workers = count
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, cr *core.CensusRunner) {
-			defer wg.Done()
-			// Capture the worker-labeled children once per goroutine so
-			// the per-trial writes skip the label lookup.
-			var workerTrials *obs.Counter
-			var workerBusy *obs.Gauge
-			m := r.Obs.Metrics
-			if m != nil {
-				lbl := strconv.Itoa(w)
-				workerTrials = m.workerTrials.With(lbl)
-				workerBusy = m.workerBusy.With(lbl)
-			}
-			clk := r.Obs.Clock
-			for t := range next {
-				t0 := obs.Now(clk)
-				out[t-start] = r.resilientTrial(p, nm, counts, t, pointSeed, cr)
-				if m != nil {
-					m.trials.Inc()
-					workerTrials.Inc()
-					workerBusy.Add(obs.SinceSeconds(clk, t0))
-				}
-				if tr := r.Obs.Tracer; tr != nil {
-					tr.Event("trial",
-						obs.F("trial", t),
-						obs.F("worker", w),
-						obs.F("dur_ns", obs.Now(clk)-t0))
-				}
-			}
-		}(w, runners[w])
-	}
-	for t := start; t < start+count; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
-	return out
+// inflight is one owned point between admission and commit: running
+// (b), failed to resolve (err), or else resumed from the journal (pr).
+type inflight struct {
+	p   Point
+	b   *batch
+	err error
+	pr  PointResult
 }
 
-// evalPoint evaluates a full point: all Point.Trials trials, fanned
-// over the given per-worker runners.
-func (r Runner) evalPoint(p Point, runners []*core.CensusRunner) (PointResult, error) {
-	nm, err := BuildMatrix(p.Matrix, p.K, p.ChannelEps)
-	if err != nil {
-		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
+// runPoints evaluates the points of pts that the runner's shard owns
+// and hands each result to commit strictly in index order — the
+// shared loop of RunGrid and RunScaling. One goroutine admits points
+// and commits them; a trial pool runs the trials. Admitting a point
+// decodes its journal entry once (a resumed point runs nothing) or
+// resolves its inputs and submits its trials, and up to
+// windowPerWorker points per worker are admitted ahead of the oldest
+// uncommitted one. Committing waits for the point's trials, then
+// aggregates, appends to the journal, records metrics and feeds the
+// breaker, in that order, so journal bytes, quarantine records, breaker
+// trips and the first reported error are those of a point-by-point
+// run. A breaker trip reads where(p) as its prefix. Any error returns
+// at once: stop skips the trials still queued and waits for every
+// worker, so no goroutine outlives the call.
+func (r Runner) runPoints(pts []Point, ck *checkpoint, where func(Point) string, commit func(Point, PointResult)) error {
+	pool := r.startPool()
+	defer pool.stop()
+	window := windowPerWorker * pool.workers
+	breaker := resilience.NewBreaker(breakAfter)
+	queue := make([]inflight, 0, window)
+	next := 0
+	for {
+		for ; len(queue) < window && next < len(pts); next++ {
+			if p := pts[next]; r.Shard.Owns(p.Index) {
+				queue = append(queue, r.admit(pool, ck, p))
+			}
+		}
+		if len(queue) == 0 {
+			return nil
+		}
+		head := queue[0]
+		queue = append(queue[:0], queue[1:]...)
+		if head.err != nil {
+			return head.err
+		}
+		pr, startNS, fresh := head.pr, int64(0), head.b != nil
+		if fresh {
+			<-head.b.done
+			var err error
+			if pr, err = r.aggregate(head.p, head.b.out); err != nil {
+				return err
+			}
+			if err := r.putCheckpoint(ck, head.p.Index, pr); err != nil {
+				return err
+			}
+			startNS = head.b.startNS
+		}
+		r.observePoint(pr, startNS, fresh)
+		breaker.Record(pr.Error != nil)
+		if err := breaker.Err(); err != nil {
+			return fmt.Errorf("%s: %w", where(head.p), err)
+		}
+		commit(head.p, pr)
 	}
-	counts, err := InitialCounts(p.N, p.K, p.Delta)
-	if err != nil {
-		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
-	}
-	pointSeed := rng.ForkSeed(r.Seed, uint64(p.Index))
-	return r.aggregate(p, r.parallelTrials(runners, p, nm, counts, 0, p.Trials, pointSeed))
 }
 
-// evalPointAdaptive evaluates a point in batches, stopping early once
-// the Wilson interval of the running success rate excludes 1/2 —
-// the per-point trial-budget economy of the bisection mode. The batch
-// schedule is a pure function of (Trials, batch), never of worker
-// count, so early stopping preserves determinism.
-func (r Runner) evalPointAdaptive(p Point, batch int, runners []*core.CensusRunner) (PointResult, error) {
-	nm, err := BuildMatrix(p.Matrix, p.K, p.ChannelEps)
-	if err != nil {
-		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
+// admit takes point p into the window: its journal entry when ck holds
+// a usable one, otherwise its trials, submitted to the pool.
+func (r Runner) admit(pool *trialPool, ck *checkpoint, p Point) inflight {
+	if pr, ok := ck.get(p.Index); ok {
+		return inflight{p: p, pr: pr}
 	}
-	counts, err := InitialCounts(p.N, p.K, p.Delta)
+	nm, counts, err := pointInputs(p)
 	if err != nil {
-		return PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
+		return inflight{p: p, err: err}
 	}
-	if batch <= 0 {
-		batch = p.Trials/8 + 1
-		if batch < 8 {
-			batch = 8
+	return inflight{p: p, b: r.startBatch(pool, p, nm, counts, 0, p.Trials)}
+}
+
+// evalPointAdaptive evaluates a point in batches on the pool, stopping
+// early once the Wilson interval of the running success rate excludes
+// 1/2 — the per-point trial-budget economy of the bisection mode. The
+// batch schedule is a pure function of (Trials, batch), never of
+// worker count, so early stopping preserves determinism. It also
+// returns the obs clock reading at the start of the point's trial 0.
+func (r Runner) evalPointAdaptive(pool *trialPool, p Point, batchSize int) (PointResult, int64, error) {
+	nm, counts, err := pointInputs(p)
+	if err != nil {
+		return PointResult{}, 0, err
+	}
+	if batchSize <= 0 {
+		batchSize = p.Trials/8 + 1
+		if batchSize < 8 {
+			batchSize = 8
 		}
 	}
-	pointSeed := rng.ForkSeed(r.Seed, uint64(p.Index))
 	var outs []trialOut
+	var startNS int64
 	for len(outs) < p.Trials {
-		count := batch
-		if rem := p.Trials - len(outs); count > rem {
-			count = rem
+		count := min(batchSize, p.Trials-len(outs))
+		b := r.startBatch(pool, p, nm, counts, len(outs), count)
+		<-b.done
+		if len(outs) == 0 {
+			startNS = b.startNS
 		}
-		outs = append(outs, r.parallelTrials(runners, p, nm, counts, len(outs), count, pointSeed)...)
+		outs = append(outs, b.out...)
 		res, err := r.aggregate(p, outs)
 		if err != nil {
-			return PointResult{}, err
+			return PointResult{}, 0, err
 		}
 		if res.Error != nil {
-			return res, nil // quarantined: no point running more batches
+			return res, startNS, nil // quarantined: no point running more batches
 		}
 		if res.WilsonLo > 0.5 || res.WilsonHi < 0.5 {
 			if m := r.Obs.Metrics; m != nil && len(outs) < p.Trials {
 				m.earlyStops.Inc()
 			}
-			return res, nil // resolved: provably off 1/2 at this confidence
+			return res, startNS, nil // resolved: provably off 1/2 at this confidence
 		}
 	}
-	return r.aggregate(p, outs)
+	res, err := r.aggregate(p, outs)
+	return res, startNS, err
 }
 
 // aggregate folds trial outcomes into a PointResult. A trial carrying

@@ -184,18 +184,16 @@ func TestPerNodeCrossCheckEngine(t *testing.T) {
 	// The same point on the census engine and on per-node process B
 	// must both run; they are different samplers of the same law, so
 	// only coarse agreement is asserted (both succeed at a benign ε).
-	base := Point{
-		Matrix: "uniform", K: 2, ChannelEps: 0.4, Delta: 0.3,
-		N: 400, Trials: 5, Params: defaultPointParams(0.4, 0, 0, 0),
-	}
 	for _, engine := range []string{"census", "B"} {
-		p := base
-		p.Engine = engine
-		r := Runner{Seed: 11, Workers: 2}
-		res, err := r.evalPoint(p, r.newTrialRunners(r.workers()))
+		g := Grid{
+			Matrices: []string{"uniform"}, Ks: []int{2}, ChannelEps: []float64{0.4},
+			Deltas: []float64{0.3}, Ns: []int64{400}, Trials: 5, Engine: engine,
+		}
+		grid, err := Runner{Seed: 11, Workers: 2}.RunGrid(g)
 		if err != nil {
 			t.Fatalf("engine %s: %v", engine, err)
 		}
+		res := grid.Points[0]
 		if res.SuccessRate < 0.8 {
 			t.Fatalf("engine %s: success %v at a benign ε, want ≥ 0.8", engine, res.SuccessRate)
 		}
