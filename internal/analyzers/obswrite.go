@@ -38,10 +38,11 @@ var obsWriteMethods = map[string]bool{
 	"Inc": true, "Add": true, "Set": true, "Observe": true,
 	// tracing (span open/close and annotation emit state, expose none)
 	"Start": true, "End": true, "Event": true,
-	// registration / construction on registries and vec families
+	// registration / construction on registries and vec families, and
+	// an instrument's shards (a new write target, no state exposed)
 	"With": true, "Counter": true, "Gauge": true, "GaugeFunc": true,
 	"Histogram": true, "CounterVec": true, "GaugeVec": true,
-	"HistogramVec": true, "AttachCounter": true,
+	"HistogramVec": true, "AttachCounter": true, "Shard": true,
 }
 
 // obsAllowedFuncs is the package-level allowlist: constructors (the

@@ -1,8 +1,8 @@
 // Package obswrite is the analysistest fixture for the obswrite
 // analyzer: inside a //nrlint:deterministic package, internal/obs
 // instruments are write-only. Writes (Inc, Add, Set, Observe, span
-// open/close, registration) and the blessed injected-clock helpers
-// (obs.Now, obs.SinceSeconds) pass; reads (Value, Count, Sum,
+// open/close, registration, shards) and the blessed injected-clock
+// helpers (obs.Now, obs.SinceSeconds) pass; reads (Value, Count, Sum,
 // Snapshot, expositors, direct clock access, harness-side Serve) are
 // findings.
 //
@@ -30,6 +30,8 @@ func writesNegative(e *engine, reg *obs.Registry) {
 	e.depth.Set(1.5)
 	e.depth.Add(-0.5)
 	e.latency.Observe(0.25)
+	e.rounds.Shard().Inc()
+	e.latency.Shard().Observe(0.5)
 	reg.Counter("rumor_rounds_total", "rounds executed").Inc()
 	reg.CounterVec("rumor_state_total", "per state", "state").With("pull").Inc()
 	reg.GaugeVec("rumor_frontier", "per phase", "phase").With("push").Set(2)

@@ -3,6 +3,7 @@ package census_test
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/dist"
 	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
+	"github.com/gossipkit/noisyrumor/internal/obs"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
@@ -454,5 +456,70 @@ func TestStage2SampleSizeOne(t *testing.T) {
 	}
 	if counts[2] < 12_000 {
 		t.Fatalf("ℓ=1 update did not move class 2 toward the composition: %v", counts)
+	}
+}
+
+// TestMetricsWorkerShards pins Metrics.Worker: one shard bundle per
+// worker index, returned again on later calls, nil for a nil bundle,
+// and engines writing through different workers' shards expose the
+// same registry as engines sharing the bundle itself.
+func TestMetricsWorkerShards(t *testing.T) {
+	var none *census.Metrics
+	if none.Worker(3) != nil {
+		t.Fatal("a nil bundle's worker shard must be nil")
+	}
+	nm, err := noise.Uniform(3, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func(bundle func(m *census.Metrics, seed uint64) *census.Metrics) string {
+		reg := obs.NewRegistry()
+		m := census.NewMetrics(reg)
+		for seed := uint64(1); seed <= 3; seed++ {
+			e := newEngine(t, 1_000_000, nm, seed, []int64{400_000, 300_000, 300_000})
+			e.SetObs(bundle(m, seed), nil, nil)
+			for phase := 0; phase < 3; phase++ {
+				if err := e.Stage1Phase(5); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Stage2Phase(10, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	shared := scrape(func(m *census.Metrics, _ uint64) *census.Metrics { return m })
+	sharded := scrape(func(m *census.Metrics, seed uint64) *census.Metrics {
+		w := int(seed % 2)
+		if m.Worker(w) != m.Worker(w) || m.Worker(0) == m.Worker(1) || m.Worker(w) == m {
+			t.Fatal("Worker must return one shard bundle per index, distinct from the bundle")
+		}
+		return m.Worker(w)
+	})
+	if !strings.Contains(shared, "census_phases_total{stage=\"2\"} 9") {
+		t.Fatalf("shared bundle recorded the wrong phase count:\n%s", shared)
+	}
+	// Shards add a histogram's sum in another order, so _sum lines
+	// agree to rounding; every other line exactly.
+	a, b := strings.Split(sharded, "\n"), strings.Split(shared, "\n")
+	same := len(a) == len(b)
+	for i := 0; same && i < len(a); i++ {
+		if a[i] == b[i] {
+			continue
+		}
+		na, va, _ := strings.Cut(a[i], " ")
+		nb, vb, _ := strings.Cut(b[i], " ")
+		x, errA := strconv.ParseFloat(va, 64)
+		y, errB := strconv.ParseFloat(vb, 64)
+		same = na == nb && strings.HasSuffix(na, "_sum") && errA == nil && errB == nil &&
+			math.Abs(x-y) <= 1e-12*math.Abs(y)
+	}
+	if !same {
+		t.Fatalf("worker shards expose differently from one shared bundle:\n--- shards ---\n%s--- shared ---\n%s", sharded, shared)
 	}
 }

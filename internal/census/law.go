@@ -918,25 +918,16 @@ func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut float64, r []float
 		}
 	}
 	credit(mode, center)
-	// Each walk shrinks away from the mode, so once a sub-cut entry no
-	// longer changes dropped, no later one can (rounding is monotone):
-	// the walk stops there.
 	v := center
 	for m := mode - 1; m >= 0 && v > 0; m-- {
 		// pmf(m) = pmf(m+1)·(m+1)/((ℓ−m)·odds)
 		v *= float64(m+1) / (float64(ell-m) * odds)
-		if v < mCut && dropped+v == dropped {
-			break
-		}
 		credit(m, v)
 	}
 	v = center
 	for m := mode + 1; m <= ell && v > 0; m++ {
 		// pmf(m) = pmf(m−1)·(ℓ−m+1)/m·odds
 		v *= float64(ell-m+1) / float64(m) * odds
-		if v < mCut && dropped+v == dropped {
-			break
-		}
 		credit(m, v)
 	}
 	r[0] = won[2] + won[1]/2

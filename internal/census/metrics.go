@@ -1,6 +1,8 @@
 package census
 
 import (
+	"sync"
+
 	"github.com/gossipkit/noisyrumor/internal/obs"
 )
 
@@ -18,6 +20,9 @@ type Metrics struct {
 	quantMass     *obs.Histogram // census_quant_budget: per-phase quantization certificate
 	messages      *obs.Counter
 	exactFallback *obs.Counter
+
+	mu      sync.Mutex
+	workers []*Metrics // see Worker
 }
 
 // NewMetrics registers the census metric family (names documented in
@@ -43,6 +48,31 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		exactFallback: reg.Counter("census_quant_exact_fallbacks_total",
 			"Quantized Stage-2 phases that bypassed the law cache and evaluated exactly."),
 	}
+}
+
+// Worker returns worker w's shard of the bundle: every instrument a
+// shard of m's (obs.Counter.Shard), created on first use and returned
+// to every later caller with the same w. A pool that gives each worker
+// its own shard keeps concurrent engines from moving one cache line
+// between cores on every phase; the registry's exposition sums the
+// shards. A nil bundle returns nil.
+func (m *Metrics) Worker(w int) *Metrics {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.workers) <= w {
+		m.workers = append(m.workers, &Metrics{
+			phases:        [2]*obs.Counter{m.phases[0].Shard(), m.phases[1].Shard()},
+			phaseSeconds:  [2]*obs.Histogram{m.phaseSeconds[0].Shard(), m.phaseSeconds[1].Shard()},
+			truncMass:     m.truncMass.Shard(),
+			quantMass:     m.quantMass.Shard(),
+			messages:      m.messages.Shard(),
+			exactFallback: m.exactFallback.Shard(),
+		})
+	}
+	return m.workers[w]
 }
 
 // SetObs attaches the observability sinks: a metric bundle, an NDJSON

@@ -144,3 +144,48 @@ func TestNilRegistryExposition(t *testing.T) {
 		t.Fatalf("nil registry wrote %q", sb.String())
 	}
 }
+
+// TestShardsExposeAsOne spreads buildTestRegistry's writes over
+// shards of its instruments: the parent's readers and both
+// expositions must report exactly what the unsharded registry does.
+func TestShardsExposeAsOne(t *testing.T) {
+	r := NewRegistry()
+	b := r.Counter("b_total", "counts b things")
+	b.Add(1)
+	b.Shard().Add(2)
+	r.Gauge("a_gauge", "").Set(1.5)
+	h := r.Histogram("c_hist", "a histogram", []float64{1, 10})
+	h.Observe(0.5)
+	h.Shard().Observe(5)
+	h.Shard().Shard().Observe(500) // a shard's shard still counts
+	v := r.CounterVec("d_total", "", "engine")
+	v.With("push").Shard().Add(2)
+	v.With("pull").Shard().Inc()
+
+	if got := b.Value(); got != 3 {
+		t.Fatalf("sharded counter Value = %d, want 3", got)
+	}
+	if got, sum := h.Count(), h.Sum(); got != 3 || sum != 505.5 {
+		t.Fatalf("sharded histogram Count, Sum = %d, %v, want 3, 505.5", got, sum)
+	}
+	for name, write := range map[string]func(*Registry, *strings.Builder) error{
+		"prometheus": func(r *Registry, sb *strings.Builder) error { return r.WritePrometheus(sb) },
+		"json":       func(r *Registry, sb *strings.Builder) error { return r.WriteJSON(sb) },
+	} {
+		var got, want strings.Builder
+		if err := write(r, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(buildTestRegistry(), &want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s exposition of the sharded registry differs:\n--- got ---\n%s--- want ---\n%s", name, got.String(), want.String())
+		}
+	}
+	var nilCounter *Counter
+	var nilHist *Histogram
+	if nilCounter.Shard() != nil || nilHist.Shard() != nil {
+		t.Fatal("a nil instrument's shard must be nil")
+	}
+}

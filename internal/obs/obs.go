@@ -71,6 +71,32 @@ func (k Kind) String() string {
 // concurrent use and a nil receiver is a no-op.
 type Counter struct {
 	v atomic.Int64
+
+	mu     sync.Mutex
+	shards []*Counter // see Shard
+}
+
+// cacheLine is the padding a shard keeps on each side of the words it
+// writes, so no other allocation's writes land on their cache lines.
+const cacheLine = 64
+
+// Shard returns a new counter whose increments c's Value and
+// exposition include. Concurrent writers that each own a shard (one
+// per pool worker) write their own cache lines instead of moving c's
+// between cores on every increment. A nil receiver returns nil.
+func (c *Counter) Shard() *Counter {
+	if c == nil {
+		return nil
+	}
+	s := &new(struct {
+		_ [cacheLine]byte
+		c Counter
+		_ [cacheLine]byte
+	}).c
+	c.mu.Lock()
+	c.shards = append(c.shards, s)
+	c.mu.Unlock()
+	return s
 }
 
 // Inc adds one.
@@ -87,12 +113,20 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count (0 on a nil receiver).
+// Value returns the current count, its shards' included (0 on a nil
+// receiver).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	v := c.v.Load()
+	c.mu.Lock()
+	shards := c.shards
+	c.mu.Unlock()
+	for _, s := range shards {
+		v += s.Value()
+	}
+	return v
 }
 
 // A Gauge is an arbitrary float64 that can go up and down. The zero
@@ -141,6 +175,9 @@ type Histogram struct {
 	buckets []atomic.Int64 // len(bounds)+1; bucket i counts v ≤ bounds[i]
 	count   atomic.Int64
 	sumBits atomic.Uint64
+
+	mu     sync.Mutex
+	shards []*Histogram // see Shard
 }
 
 func newHistogram(bounds []float64) (*Histogram, error) {
@@ -174,32 +211,83 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations so far.
+// Shard returns a new histogram with h's buckets whose observations
+// h's Count, Sum and exposition include: the histogram counterpart of
+// Counter.Shard. A nil receiver returns nil.
+func (h *Histogram) Shard() *Histogram {
+	if h == nil {
+		return nil
+	}
+	const pad = cacheLine / 8 // buckets are 8-byte words
+	n := len(h.buckets)
+	s := &new(struct {
+		_ [cacheLine]byte
+		h Histogram
+		_ [cacheLine]byte
+	}).h
+	s.bounds = h.bounds
+	s.buckets = make([]atomic.Int64, n+2*pad)[pad : pad+n : pad+n]
+	h.mu.Lock()
+	h.shards = append(h.shards, s)
+	h.mu.Unlock()
+	return s
+}
+
+// shardList returns the shards h has handed out so far.
+func (h *Histogram) shardList() []*Histogram {
+	h.mu.Lock()
+	shards := h.shards
+	h.mu.Unlock()
+	return shards
+}
+
+// Count returns the number of observations so far, its shards'
+// included.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	n := h.count.Load()
+	for _, s := range h.shardList() {
+		n += s.Count()
+	}
+	return n
 }
 
-// Sum returns the sum of observed values so far.
+// Sum returns the sum of observed values so far, its shards'
+// included.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.sumBits.Load())
+	sum := math.Float64frombits(h.sumBits.Load())
+	for _, s := range h.shardList() {
+		sum += s.Sum()
+	}
+	return sum
 }
 
 // snapshot returns cumulative bucket counts aligned with bounds plus
-// the +Inf bucket, in le order.
+// the +Inf bucket, in le order, its shards' included.
 func (h *Histogram) snapshot() (cum []int64, count int64, sum float64) {
 	cum = make([]int64, len(h.buckets))
+	h.addBuckets(cum)
 	var running int64
-	for i := range h.buckets {
-		running += h.buckets[i].Load()
+	for i := range cum {
+		running += cum[i]
 		cum[i] = running
 	}
-	return cum, h.count.Load(), h.Sum()
+	return cum, h.Count(), h.Sum()
+}
+
+// addBuckets adds h's and its shards' per-bucket counts into dst.
+func (h *Histogram) addBuckets(dst []int64) {
+	for i := range h.buckets {
+		dst[i] += h.buckets[i].Load()
+	}
+	for _, s := range h.shardList() {
+		s.addBuckets(dst)
+	}
 }
 
 // LogBuckets returns n log-spaced histogram bounds starting at lo and

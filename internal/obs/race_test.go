@@ -79,3 +79,45 @@ func TestRegistryRaceStress(t *testing.T) {
 func workerLabel(g int) string {
 	return string(rune('0' + g))
 }
+
+// TestShardRaceStress has each of 8 goroutines write its own shards
+// of one counter and one histogram while others add shards and scrape:
+// run under -race, and every write must land in the parent's totals.
+func TestShardRaceStress(t *testing.T) {
+	const (
+		goroutines = 8
+		iters      = 2000
+	)
+	r := NewRegistry()
+	total := r.Counter("shard_total", "")
+	hist := r.Histogram("shard_hist", "", LogBuckets(1, 4, 6))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine, myHist := total.Shard(), hist.Shard()
+			for i := 0; i < iters; i++ {
+				mine.Inc()
+				myHist.Observe(float64(i % 100))
+				if i%500 == 0 {
+					var sb strings.Builder
+					if err := r.WritePrometheus(&sb); err != nil {
+						t.Errorf("concurrent scrape: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := total.Value(); got != goroutines*iters {
+		t.Fatalf("shard_total = %d, want %d", got, goroutines*iters)
+	}
+	if got := hist.Count(); got != goroutines*iters {
+		t.Fatalf("shard_hist count = %d, want %d", got, goroutines*iters)
+	}
+	if got, want := hist.Sum(), float64(goroutines*99000); got != want {
+		t.Fatalf("shard_hist sum = %v, want %v", got, want)
+	}
+}

@@ -33,6 +33,30 @@ func metricValue(reg *obs.Registry, name string) float64 {
 	return -1
 }
 
+// censusTotals returns each census metric series' counter value or
+// histogram observation count, keyed "name{label=value}".
+func censusTotals(reg *obs.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		if !strings.HasPrefix(m.Name, "census_") {
+			continue
+		}
+		for _, v := range m.Values {
+			key := m.Name
+			for l, lv := range v.Labels {
+				key += "{" + l + "=" + lv + "}"
+			}
+			switch {
+			case v.Value != nil:
+				out[key] = *v.Value
+			case v.Count != nil:
+				out[key] = float64(*v.Count)
+			}
+		}
+	}
+	return out
+}
+
 // TestObsBitIdentity is the write-only contract of DESIGN.md §2 made
 // executable: a fully instrumented sweep — metrics registry, tracer
 // and clock all live, law cache registered — must produce results and
@@ -42,6 +66,7 @@ func TestObsBitIdentity(t *testing.T) {
 	g := testGrid()
 	g.LawQuant = 1e-3 // exercise the law-cache lookup/store/trace path too
 	dir := t.TempDir()
+	var censusAt1 map[string]float64
 	for _, workers := range []int{1, 8} {
 		run := func(tag string, inst Instrumentation, cache *census.LawCache) (*GridResult, []byte) {
 			ck := filepath.Join(dir, fmt.Sprintf("%s-w%d", tag, workers))
@@ -88,6 +113,17 @@ func TestObsBitIdentity(t *testing.T) {
 		}
 		if got := metricValue(reg, "lawcache_hits_total"); got != float64(h) {
 			t.Fatalf("workers=%d: lawcache_hits_total = %v, want %d", workers, got, h)
+		}
+		// Each worker writes its own shard of the census metrics; the
+		// registry must expose their sums, the same at any worker count.
+		totals := censusTotals(reg)
+		if totals["census_phases_total{stage=2}"] == 0 {
+			t.Fatalf("workers=%d: census metrics recorded no Stage-2 phase: %v", workers, totals)
+		}
+		if censusAt1 == nil {
+			censusAt1 = totals
+		} else if !reflect.DeepEqual(totals, censusAt1) {
+			t.Fatalf("workers=%d: census metric totals differ from one worker's:\n%v\nvs\n%v", workers, totals, censusAt1)
 		}
 		if trace.Len() == 0 {
 			t.Fatalf("workers=%d: tracer emitted nothing", workers)

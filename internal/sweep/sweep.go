@@ -284,8 +284,10 @@ type batch struct {
 // trialPool runs batches' trials on long-lived workers, one pool per
 // RunGrid, RunScaling or RunBisect call. Each worker owns one
 // core.CensusRunner whose engine is reused (and reset) across every
-// trial it runs, and all workers share one Stage-2 law cache. Reuse is
-// invisible in results (the engine's Reset contract).
+// trial it runs and writes the worker's own shard of the census
+// metrics (census.Metrics.Worker), and all workers share one Stage-2
+// law cache. Reuse is invisible in results (the engine's Reset
+// contract).
 type trialPool struct {
 	r       Runner
 	workers int
@@ -307,7 +309,7 @@ func (r Runner) startPool() *trialPool {
 	pool := &trialPool{r: r, workers: workers, jobs: make(chan *batch, windowPerWorker*workers)}
 	for w := 0; w < workers; w++ {
 		cr := core.NewCensusRunner(cache)
-		cr.SetObs(r.Obs.Census, r.Obs.Tracer, r.Obs.Clock)
+		cr.SetObs(r.Obs.Census.Worker(w), r.Obs.Tracer, r.Obs.Clock)
 		pool.wg.Add(1)
 		go pool.work(w, cr)
 	}
