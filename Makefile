@@ -19,7 +19,7 @@ HEADLINE_BENCH := 'BenchmarkRumorSpreading($$|Huge)|BenchmarkPhase(Batch|Paralle
 # specific point.
 BENCH_N ?= $(shell i=1; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; echo $$i)
 
-.PHONY: build vet lint test race fuzz sweep-smoke obs-smoke chaos bench-test bench-quick bench-json profile layout check clean
+.PHONY: build vet lint test race fuzz sweep-smoke obs-smoke chaos examples bench-test bench-quick bench-json profile layout check clean
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,14 @@ obs-smoke:
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/sweep ./cmd/sweep
 
+# examples runs the facade's two fast examples, its only callers
+# outside tests: quickstart and flock, under a second each. baselines
+# (~11 s) and antsites (~65 s) stay build-only; `go build ./...`
+# compiles them.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/flock
+
 # bench-test runs the unit and smoke tests of the repository benchmark
 # (bench/, its own Go module built against this checkout). The root
 # `go test ./...` never reaches a nested module, so without this target
@@ -166,7 +174,7 @@ layout:
 	       name = $$4; sub(/.*internal\/census\./, "", name); \
 	       printf "%s %6d %2d %s\n", $$1, $$2, hex(substr($$1, length($$1) - 1)) % 64, name }'
 
-check: build lint race fuzz sweep-smoke obs-smoke chaos bench-test bench-quick
+check: build lint race fuzz sweep-smoke obs-smoke chaos examples bench-test bench-quick
 
 clean:
 	$(GO) clean ./...

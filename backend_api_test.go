@@ -15,14 +15,9 @@ func TestRumorSpreadingBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, backend := range Backends() {
-		cfg := Config{
-			N:       3000,
-			Noise:   nm,
-			Params:  DefaultParams(0.3),
-			Seed:    7,
-			Backend: backend,
-		}
-		res, err := RumorSpreading(cfg, 1)
+		params := DefaultParams(0.3)
+		params.Backend = backend
+		res, err := RumorSpreading(Config{N: 3000, Noise: nm, Params: params, Seed: 7}, 1)
 		if err != nil {
 			t.Fatalf("backend %s: %v", backend, err)
 		}
@@ -54,8 +49,9 @@ func TestUnknownBackendRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 100, Noise: nm, Params: DefaultParams(0.3), Backend: "warp"}
-	if _, err := RumorSpreading(cfg, 0); err == nil {
+	params := DefaultParams(0.3)
+	params.Backend = "warp"
+	if _, err := RumorSpreading(Config{N: 100, Noise: nm, Params: params}, 0); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }
@@ -69,17 +65,16 @@ func TestBackendsList(t *testing.T) {
 
 // TestParallelThreads1MatchesBatchAPI: through the public API, a
 // parallel run pinned to one thread must reproduce the batch backend
-// bit for bit — the facade's Threads knob reaches the engine.
+// bit for bit — Params.Threads reaches the engine.
 func TestParallelThreads1MatchesBatchAPI(t *testing.T) {
 	nm, err := UniformNoise(3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(backend string, threads int) Result {
-		res, err := RumorSpreading(Config{
-			N: 2500, Noise: nm, Params: DefaultParams(0.3),
-			Seed: 5, Backend: backend, Threads: threads,
-		}, 0)
+		params := DefaultParams(0.3)
+		params.Backend, params.Threads = backend, threads
+		res, err := RumorSpreading(Config{N: 2500, Noise: nm, Params: params, Seed: 5}, 0)
 		if err != nil {
 			t.Fatalf("backend %s threads %d: %v", backend, threads, err)
 		}
@@ -100,12 +95,11 @@ func TestParallelThreadsDeterminismAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{1, 4, 8} {
+		params := DefaultParams(0.3)
+		params.Backend, params.Threads = "parallel", threads
 		var prev Result
 		for rep := 0; rep < 2; rep++ {
-			res, err := RumorSpreading(Config{
-				N: 2500, Noise: nm, Params: DefaultParams(0.3),
-				Seed: 13, Backend: "parallel", Threads: threads,
-			}, 0)
+			res, err := RumorSpreading(Config{N: 2500, Noise: nm, Params: params, Seed: 13}, 0)
 			if err != nil {
 				t.Fatalf("threads %d: %v", threads, err)
 			}

@@ -63,3 +63,14 @@ func RunBaseline(cfg Config, rule BaselineRule, h int, counts []int, maxRounds i
 		MaxRounds: maxRounds,
 	}, initial, plurality, rng.New(cfg.Seed))
 }
+
+// perNodeN narrows Config.N for the baseline dynamics, which size
+// O(N·k) buffers with int indices. On 64-bit hosts the check is moot;
+// on 32-bit builds it turns what would be a silent truncation into an
+// actionable error.
+func perNodeN(n int64) (int, error) {
+	if int64(int(n)) != n {
+		return 0, fmt.Errorf("noisyrumor: N=%d exceeds the per-node engines' int range; use Engine: ProcessCensus", n)
+	}
+	return int(n), nil
+}

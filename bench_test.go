@@ -129,7 +129,9 @@ func benchRumor(b *testing.B, n int, backend string, threads int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{N: int64(n), Noise: nm, Params: DefaultParams(0.25), Backend: backend, Threads: threads}
+	params := DefaultParams(0.25)
+	params.Backend, params.Threads = backend, threads
+	cfg := Config{N: int64(n), Noise: nm, Params: params}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)

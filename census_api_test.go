@@ -86,11 +86,10 @@ func TestRunCensusExposesBudget(t *testing.T) {
 	}
 }
 
-// TestCensusKnobsThreadThrough: the facade-level LawQuant/CensusTol
-// knobs must reach the engine — quantization adds coupling mass to
-// the reported budget, a loosened tolerance grows it, LawQuant = 0 is
-// bit-identical to a knob-free config, and the Params-level fields
-// win over the Config-level ones (the single-resolution-path rule).
+// TestCensusKnobsThreadThrough: Params.LawQuant and Params.CensusTol
+// must reach the engine — quantization adds coupling mass to the
+// reported budget, a loosened tolerance grows it, and LawQuant = 0 is
+// bit-identical to a knob-free config.
 func TestCensusKnobsThreadThrough(t *testing.T) {
 	nm, err := UniformNoise(4, 0.25)
 	if err != nil {
@@ -104,7 +103,7 @@ func TestCensusKnobsThreadThrough(t *testing.T) {
 	}
 
 	zeroQuant := base
-	zeroQuant.LawQuant = 0
+	zeroQuant.Params.LawQuant = 0
 	same, err := RunCensus(zeroQuant, counts, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -114,46 +113,28 @@ func TestCensusKnobsThreadThrough(t *testing.T) {
 	}
 
 	quant := base
-	quant.LawQuant = 1e-3
+	quant.Params.LawQuant = 1e-3
 	qres, err := RunCensus(quant, counts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qres.ErrorBudget <= exact.ErrorBudget {
-		t.Fatalf("quantized budget %v not above exact %v; Config.LawQuant is not wired", qres.ErrorBudget, exact.ErrorBudget)
+		t.Fatalf("quantized budget %v not above exact %v; Params.LawQuant is not wired", qres.ErrorBudget, exact.ErrorBudget)
 	}
 
 	loose := base
-	loose.CensusTol = 1e-6
+	loose.Params.CensusTol = 1e-6
 	lres, err := RunCensus(loose, counts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lres.ErrorBudget <= exact.ErrorBudget {
-		t.Fatalf("loosened-tolerance budget %v not above default %v; Config.CensusTol is not wired", lres.ErrorBudget, exact.ErrorBudget)
-	}
-
-	// Params-level fields win over the Config-level ones.
-	both := quant
-	both.Params.LawQuant = 1e-2
-	bres, err := RunCensus(both, counts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paramsOnly := base
-	paramsOnly.Params.LawQuant = 1e-2
-	pres, err := RunCensus(paramsOnly, counts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bres, pres) {
-		t.Fatal("Params.LawQuant did not win over Config.LawQuant")
+		t.Fatalf("loosened-tolerance budget %v not above default %v; Params.CensusTol is not wired", lres.ErrorBudget, exact.ErrorBudget)
 	}
 
 	// A knob-only Params still derives default protocol constants (the
 	// zero-sentinel exclusion), rather than failing ε validation.
-	knobOnly := Config{N: 1_000_000, Noise: nm, Seed: 4, LawQuant: 1e-3}
-	knobOnly.Params = Params{CensusTol: 1e-10}
+	knobOnly := Config{N: 1_000_000, Noise: nm, Seed: 4, Params: Params{LawQuant: 1e-3, CensusTol: 1e-10}}
 	if _, err := RunCensus(knobOnly, []int64{400_000, 300_000, 200_000, 100_000}, 0); err != nil {
 		t.Fatalf("knob-only Params rejected: %v", err)
 	}

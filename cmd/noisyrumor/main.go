@@ -22,6 +22,7 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/checked"
 	"github.com/gossipkit/noisyrumor/internal/core"
 	"github.com/gossipkit/noisyrumor/internal/model"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 func main() {
@@ -68,22 +69,13 @@ func run(args []string, out io.Writer) error {
 	if set["correct"] && set["counts"] {
 		return errors.New("-correct applies to rumor spreading only: with -counts the plurality opinion of the counts is the correct outcome; drop one of the two flags")
 	}
-	nm, err := makeMatrix(*matrix, *k, *eps)
+	nm, err := sweep.BuildMatrix(*matrix, *k, *eps)
 	if err != nil {
 		return err
 	}
-	cfg := noisyrumor.Config{
-		N:         *n,
-		Noise:     nm,
-		Params:    noisyrumor.DefaultParams(*eps),
-		Seed:      *seed,
-		Trace:     *trace,
-		Engine:    proc,
-		Backend:   *backend,
-		Threads:   *threads,
-		LawQuant:  *lawQuant,
-		CensusTol: *censusTol,
-	}
+	params := noisyrumor.DefaultParams(*eps)
+	params.Backend, params.Threads, params.LawQuant, params.CensusTol = *backend, *threads, *lawQuant, *censusTol
+	cfg := noisyrumor.Config{N: *n, Noise: nm, Params: params, Seed: *seed, Trace: *trace, Engine: proc}
 	header := fmt.Sprintf("n=%d k=%d ε=%v matrix=%s engine=%v seed=%d", *n, nm.K(), *eps, *matrix, proc, *seed)
 
 	if proc == noisyrumor.ProcessCensus {
@@ -158,7 +150,7 @@ func runCensus(cfg noisyrumor.Config, nm *noisyrumor.NoiseMatrix,
 			return fmt.Errorf("%d counts for k=%d", len(cs), nm.K())
 		}
 		var strict bool
-		correctOp, strict = int64Plurality(cs)
+		correctOp, strict = core.Plurality(cs)
 		if !strict {
 			return fmt.Errorf("initial counts %v have no strict plurality", cs)
 		}
@@ -181,42 +173,6 @@ func runCensus(cfg noisyrumor.Config, nm *noisyrumor.NoiseMatrix,
 		}
 	}
 	return nil
-}
-
-func makeMatrix(name string, k int, eps float64) (*noisyrumor.NoiseMatrix, error) {
-	switch name {
-	case "uniform":
-		return noisyrumor.UniformNoise(k, eps)
-	case "binary":
-		return noisyrumor.BinaryNoise(eps)
-	case "identity":
-		return noisyrumor.IdentityNoise(k)
-	case "cycle":
-		return noisyrumor.DominantCycleNoise(k, eps)
-	case "reset":
-		return noisyrumor.ResetNoise(k, eps)
-	default:
-		return nil, fmt.Errorf("unknown matrix %q", name)
-	}
-}
-
-// int64Plurality returns the strict-argmax opinion of a count vector
-// (the census path keeps int64 counts end to end: a single opinion
-// class can exceed the int range the per-node entry points accept).
-func int64Plurality(cs []int64) (noisyrumor.Opinion, bool) {
-	best, bestCount, ties := noisyrumor.Undecided, int64(-1), 0
-	for i, v := range cs {
-		switch {
-		case v > bestCount:
-			best, bestCount, ties = noisyrumor.Opinion(i), v, 1
-		case v == bestCount:
-			ties++
-		}
-	}
-	if bestCount <= 0 {
-		return noisyrumor.Undecided, false
-	}
-	return best, ties == 1
 }
 
 func parseCounts(s string) ([]int64, error) {

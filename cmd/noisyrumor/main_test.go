@@ -19,30 +19,30 @@ func TestParseCounts(t *testing.T) {
 	}
 }
 
+// TestMakeMatrix: every family name -matrix documents makes a matrix
+// (through sweep.BuildMatrix, the one name switch) and runs, and an
+// unknown name is rejected.
 func TestMakeMatrix(t *testing.T) {
 	cases := []struct {
 		name string
-		k    int
-		eps  float64
+		k    string
+		eps  string
 		ok   bool
 	}{
-		{"uniform", 3, 0.2, true},
-		{"binary", 2, 0.2, true},
-		{"identity", 4, 0, true},
-		{"cycle", 3, 0.1, true},
-		{"reset", 3, 0.2, true},
-		{"nope", 3, 0.2, false},
+		{"uniform", "3", "0.2", true},
+		{"binary", "2", "0.2", true},
+		{"identity", "4", "0.2", true},
+		{"cycle", "3", "0.1", true},
+		{"reset", "3", "0.2", true},
+		{"nope", "3", "0.2", false},
 	}
 	for _, c := range cases {
-		m, err := makeMatrix(c.name, c.k, c.eps)
+		err := run([]string{"-n", "200", "-k", c.k, "-eps", c.eps, "-matrix", c.name}, io.Discard)
 		if c.ok && err != nil {
-			t.Fatalf("makeMatrix(%s): %v", c.name, err)
+			t.Fatalf("-matrix %s: %v", c.name, err)
 		}
 		if !c.ok && err == nil {
-			t.Fatalf("makeMatrix(%s) accepted", c.name)
-		}
-		if c.ok && m == nil {
-			t.Fatalf("makeMatrix(%s) returned nil", c.name)
+			t.Fatalf("-matrix %s accepted", c.name)
 		}
 	}
 }

@@ -66,6 +66,15 @@ type Result struct {
 	Trace []PhaseStats
 }
 
+// RoundsToAllCorrect is FirstAllCorrect, or the scheduled Rounds when
+// the nodes never all held the correct opinion.
+func (r Result) RoundsToAllCorrect() int {
+	if r.FirstAllCorrect >= 0 {
+		return r.FirstAllCorrect
+	}
+	return r.Rounds
+}
+
 // Protocol executes the two-stage protocol on a model engine.
 type Protocol struct {
 	engine *model.Engine

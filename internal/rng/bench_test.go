@@ -11,15 +11,6 @@ func BenchmarkXoshiroUint64(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkPCG32Uint64(b *testing.B) {
-	p := NewPCG32(1, 2)
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink ^= p.Uint64()
-	}
-	_ = sink
-}
-
 func BenchmarkSplitMix64(b *testing.B) {
 	s := NewSplitMix64(1)
 	var sink uint64

@@ -5,8 +5,8 @@
 // single published seed, including experiments that fan trials out over
 // a worker pool. The package therefore provides:
 //
-//   - small, allocation-free generator cores (SplitMix64, Xoshiro256**
-//     and PCG32) implementing the Source interface;
+//   - small, allocation-free generator cores (SplitMix64 and
+//     Xoshiro256**) implementing the Source interface;
 //   - a Rand wrapper with the uniform-variate helpers the simulators
 //     need (Uint64n without modulo bias, Float64, Intn, Perm, Shuffle,
 //     Bernoulli);

@@ -18,11 +18,6 @@ func New(seed uint64) *Rand {
 	return &Rand{src: NewXoshiro256(seed)}
 }
 
-// NewFrom wraps an explicit Source.
-func NewFrom(src Source) *Rand {
-	return &Rand{src: src}
-}
-
 // Fork derives a new independent Rand keyed by index. Forking is
 // deterministic: the child stream depends only on the bits drawn so far
 // and index, so the harness can hand trial i its stream without

@@ -73,30 +73,6 @@ func TestXoshiroJumpDisjoint(t *testing.T) {
 	}
 }
 
-func TestPCG32Deterministic(t *testing.T) {
-	a := NewPCG32(42, 54)
-	b := NewPCG32(42, 54)
-	for i := 0; i < 1000; i++ {
-		if av, bv := a.Uint64(), b.Uint64(); av != bv {
-			t.Fatalf("same-seed PCG streams diverge at step %d", i)
-		}
-	}
-}
-
-func TestPCG32StreamsDiffer(t *testing.T) {
-	a := NewPCG32(42, 1)
-	b := NewPCG32(42, 2)
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("PCG streams 1 and 2 collide %d/1000 times", same)
-	}
-}
-
 func TestForkSeedDecorrelated(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < 10000; i++ {
@@ -324,16 +300,6 @@ func TestForkDeterministicGivenParentState(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("forks from identical parent states diverge")
-		}
-	}
-}
-
-func TestNewFrom(t *testing.T) {
-	r := NewFrom(NewPCG32(1, 2))
-	want := NewPCG32(1, 2)
-	for i := 0; i < 10; i++ {
-		if r.Uint64() != want.Uint64() {
-			t.Fatal("NewFrom does not pass through the source")
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 
 	"github.com/gossipkit/noisyrumor/internal/core"
 	"github.com/gossipkit/noisyrumor/internal/dist"
-	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 // RunE15 is an ablation study (beyond the paper's own evaluation) of
@@ -40,7 +40,7 @@ func RunE15(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		init, err := model.InitRumor(n, k, 0)
+		counts, err := sweep.InitialCounts(int64(n), k, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +57,7 @@ func RunE15(cfg Config) (*Report, error) {
 				}
 				outs := Parallel(cfg, cfg.Seed+uint64(k*1000)+uint64(c*10)+uint64(extra), trials,
 					func(_ int, r *rng.Rand) outcome {
-						return runProtocol(cfg, r, n, nm, params, init, 0, false)
+						return runProtocol(cfg, r, n, nm, params, counts, false)
 					})
 				if err := firstError(outs); err != nil {
 					return nil, err
@@ -111,7 +111,7 @@ func RunE16(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			init, err := model.InitRumor(n, k, 0)
+			counts, err := sweep.InitialCounts(int64(n), k, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -123,7 +123,7 @@ func RunE16(cfg Config) (*Report, error) {
 			ell := sched.Stage2[0].SampleSize
 			outs := Parallel(cfg, cfg.Seed+uint64(n)+uint64(g*100), trials,
 				func(_ int, r *rng.Rand) outcome {
-					return runProtocol(cfg, r, n, nm, params, init, 0, false)
+					return runProtocol(cfg, r, n, nm, params, counts, false)
 				})
 			if err := firstError(outs); err != nil {
 				return nil, err

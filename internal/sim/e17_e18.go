@@ -8,6 +8,7 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 // RunE17 probes the paper's optimality remark ("both rumor-spreading
@@ -35,7 +36,7 @@ func RunE17(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	init, err := model.InitRumor(n, k, 0)
+	counts, err := sweep.InitialCounts(int64(n), k, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func RunE17(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		outs := Parallel(cfg, cfg.Seed+uint64(i)*101, trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, params, init, 0, false)
+			return runProtocol(cfg, r, n, nm, params, counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err

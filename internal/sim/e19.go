@@ -9,6 +9,7 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/stats"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 // RunE19 measures adversarial fault tolerance: an adversary
@@ -58,7 +59,11 @@ func RunE19(cfg Config) (*Report, error) {
 			n, k, eps, fStar, sqrtN, trials, cfg.Seed),
 	}
 
-	init, err := model.InitPlurality(n, biasedCounts(n, k, 0.2))
+	counts, err := sweep.InitialCounts(int64(n), k, 0.2)
+	if err != nil {
+		return nil, err
+	}
+	init, err := core.InitialOpinions(int64(n), counts)
 	if err != nil {
 		return nil, err
 	}

@@ -6,10 +6,10 @@ import (
 
 	"github.com/gossipkit/noisyrumor/internal/core"
 	"github.com/gossipkit/noisyrumor/internal/dist"
-	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/stats"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 // RunE1 validates Theorem 1 for k=2 (the FHK setting): the protocol
@@ -49,12 +49,12 @@ func RunE1(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		init, err := model.InitRumor(n, 2, 0)
+		counts, err := sweep.InitialCounts(int64(n), 2, 0)
 		if err != nil {
 			return nil, err
 		}
 		outs := Parallel(cfg, cfg.Seed+uint64(n), trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), init, 0, false)
+			return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err
@@ -108,12 +108,12 @@ func RunE2(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		init, err := model.InitRumor(n, k, 0)
+		counts, err := sweep.InitialCounts(int64(n), k, 0)
 		if err != nil {
 			return nil, err
 		}
 		outs := Parallel(cfg, cfg.Seed+uint64(100*k), trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), init, 0, false)
+			return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err
@@ -167,12 +167,12 @@ func RunE3(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		init, err := model.InitRumor(n, k, 0)
+		counts, err := sweep.InitialCounts(int64(n), k, 0)
 		if err != nil {
 			return nil, err
 		}
 		outs := Parallel(cfg, cfg.Seed+uint64(eps*1e6), trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), init, 0, false)
+			return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err
@@ -204,12 +204,12 @@ func RunE3(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	init, err := model.InitRumor(n, k, 0)
+	counts, err := sweep.InitialCounts(int64(n), k, 0)
 	if err != nil {
 		return nil, err
 	}
 	outs := Parallel(cfg, cfg.Seed+999, probeTrials, func(_ int, r *rng.Rand) outcome {
-		return runProtocol(cfg, r, n, nm, core.DefaultParams(probeEps), init, 0, true)
+		return runProtocol(cfg, r, n, nm, core.DefaultParams(probeEps), counts, true)
 	})
 	if err := firstError(outs); err != nil {
 		return nil, err

@@ -7,10 +7,10 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/analytic"
 	"github.com/gossipkit/noisyrumor/internal/core"
 	"github.com/gossipkit/noisyrumor/internal/dist"
-	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/stats"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 // RunE4 traces Stage 1 and checks Claims 2–3 (the opinionated fraction
@@ -38,12 +38,12 @@ func RunE4(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	init, err := model.InitRumor(n, k, 0)
+	counts, err := sweep.InitialCounts(int64(n), k, 0)
 	if err != nil {
 		return nil, err
 	}
 	outs := Parallel(cfg, cfg.Seed, trials, func(_ int, r *rng.Rand) outcome {
-		return runProtocol(cfg, r, n, nm, params, init, 0, true)
+		return runProtocol(cfg, r, n, nm, params, counts, true)
 	})
 	if err := firstError(outs); err != nil {
 		return nil, err
@@ -143,13 +143,13 @@ func RunE5(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		init, err := model.InitPlurality(n, biasedCounts(n, k, startBias))
+		counts, err := sweep.InitialCounts(int64(n), k, startBias)
 		if err != nil {
 			return nil, err
 		}
 		params := core.DefaultParams(eps)
 		outs := Parallel(cfg, cfg.Seed+uint64(k), trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, params, init, 0, true)
+			return runProtocol(cfg, r, n, nm, params, counts, true)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err
@@ -246,12 +246,12 @@ func RunE6(cfg Config) (*Report, error) {
 		if s > n {
 			s = n
 		}
-		init, err := model.InitPlurality(n, biasedCounts(s, k, 0.3))
+		counts, err := sweep.InitialCounts(int64(s), k, 0.3)
 		if err != nil {
 			return nil, err
 		}
 		outs := Parallel(cfg, cfg.Seed+uint64(mult*1000), trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, params, init, 0, false)
+			return runProtocol(cfg, r, n, nm, params, counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err
@@ -277,12 +277,12 @@ func RunE6(cfg Config) (*Report, error) {
 		if b > 0.9 {
 			b = 0.9
 		}
-		init, err := model.InitPlurality(n, biasedCounts(s, k, b))
+		counts, err := sweep.InitialCounts(int64(s), k, b)
 		if err != nil {
 			return nil, err
 		}
 		outs := Parallel(cfg, cfg.Seed+uint64(bm*77777), trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, params, init, 0, false)
+			return runProtocol(cfg, r, n, nm, params, counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err

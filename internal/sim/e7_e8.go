@@ -108,17 +108,11 @@ func RunE7(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		counts := []int{int(0.55 * float64(n)), int(0.45 * float64(n)), 0}
-		counts[2] = n - counts[0] - counts[1]
 		// Keep all mass on opinions 0 and 1, as in the paper's witness.
-		counts[1] += counts[2]
-		counts[2] = 0
-		init, err := model.InitPlurality(n, counts)
-		if err != nil {
-			return nil, err
-		}
+		counts := []int64{int64(0.55 * float64(n)), 0, 0}
+		counts[1] = int64(n) - counts[0]
 		outs := Parallel(cfg, cfg.Seed+uint64(len(tc.name)), trials, func(_ int, rr *rng.Rand) outcome {
-			return runProtocol(cfg, rr, n, nm, core.DefaultParams(eps), init, 0, false)
+			return runProtocol(cfg, rr, n, nm, core.DefaultParams(eps), counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err

@@ -7,10 +7,10 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/analytic"
 	"github.com/gossipkit/noisyrumor/internal/core"
 	"github.com/gossipkit/noisyrumor/internal/dynamics"
-	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/stats"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 // RunE9 compares the exact majority gap Pr(maj_ℓ=m)−Pr(maj_ℓ=i)
@@ -103,9 +103,9 @@ func RunE10(cfg Config) (*Report, error) {
 			n, k, trials, cfg.Seed),
 	}
 
-	counts := []int{4 * n / 10, 2 * n / 10, 2 * n / 10, 0}
-	counts[3] = n - counts[0] - counts[1] - counts[2]
-	init, err := model.InitPlurality(n, counts)
+	counts := []int64{int64(4 * n / 10), int64(2 * n / 10), int64(2 * n / 10), 0}
+	counts[3] = int64(n) - counts[0] - counts[1] - counts[2]
+	init, err := core.InitialOpinions(int64(n), counts)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func RunE10(cfg Config) (*Report, error) {
 
 		// The paper's protocol.
 		outs := Parallel(cfg, cfg.Seed+uint64(eps*1e5), trials, func(_ int, r *rng.Rand) outcome {
-			return runProtocol(cfg, r, n, nm, params, init, 0, false)
+			return runProtocol(cfg, r, n, nm, params, counts, false)
 		})
 		if err := firstError(outs); err != nil {
 			return nil, err
@@ -215,13 +215,13 @@ func RunE11(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			init, err := model.InitRumor(n, k, 0)
+			counts, err := sweep.InitialCounts(int64(n), k, 0)
 			if err != nil {
 				return nil, err
 			}
 			outs := Parallel(cfg, cfg.Seed+uint64(n)+uint64(eps*1e4), trials,
 				func(_ int, r *rng.Rand) outcome {
-					return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), init, 0, false)
+					return runProtocol(cfg, r, n, nm, core.DefaultParams(eps), counts, false)
 				})
 			if err := firstError(outs); err != nil {
 				return nil, err

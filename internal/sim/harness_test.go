@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/gossipkit/noisyrumor/internal/rng"
+	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
 func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -63,19 +65,17 @@ func TestPick(t *testing.T) {
 	}
 }
 
+// TestBiasedCounts: the E-suite's biased starts (sweep.InitialCounts)
+// seat all s nodes, opinion 0 ahead of every rival by ⌊δ·s⌋ and
+// holding the remainder of the even split.
 func TestBiasedCounts(t *testing.T) {
-	counts := biasedCounts(1000, 4, 0.2)
-	total := 0
-	for _, c := range counts {
-		total += c
+	counts, err := sweep.InitialCounts(1003, 4, 0.2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total != 1000 {
-		t.Fatalf("counts sum to %d", total)
-	}
-	for i := 1; i < 4; i++ {
-		if counts[0]-counts[i] < 150 { // 0.2·1000 = 200, rounding slack
-			t.Fatalf("lead over rival %d is %d", i, counts[0]-counts[i])
-		}
+	// lead ⌊0.2·1003⌋ = 200; the other 803 split 200 each, 3 left over.
+	if want := []int64{403, 200, 200, 200}; !reflect.DeepEqual(counts, want) {
+		t.Fatalf("counts %v, want %v", counts, want)
 	}
 }
 

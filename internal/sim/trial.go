@@ -21,90 +21,48 @@ type outcome struct {
 	err        error
 }
 
-// runProtocol executes one protocol trial on the engine and backend
-// named by cfg (params.Backend, when set, wins — experiments that pin
-// a backend do so through Params). Errors are carried in the outcome
-// so Parallel trials can surface them after the fan-in.
+// runProtocol executes one protocol trial of n nodes, counts[i] of
+// them starting with opinion i and opinion 0 correct, on the engine
+// and backend named by cfg. cfg's engine knobs fill the ones params
+// leaves unset: an experiment that pins a backend in its Params wins.
+// Errors are carried in the outcome so Parallel trials can surface
+// them after the fan-in. Census trials report zero per-node memory
+// observables (maxCounter, memoryBits): that engine keeps no per-node
+// state.
 func runProtocol(cfg Config, r *rng.Rand, n int, nm *noise.Matrix, params core.Params,
-	initial []model.Opinion, correct model.Opinion, trace bool) outcome {
+	counts []int64, trace bool) outcome {
 
+	proc, err := model.ProcessByName(cfg.Engine)
+	if err != nil {
+		return outcome{err: err}
+	}
 	if params.Backend == "" {
 		params.Backend = cfg.Backend
 	}
 	if params.Threads == 0 {
 		params.Threads = cfg.Threads
 	}
-	proc, err := model.ProcessByName(cfg.Engine)
+	if params.LawQuant == 0 {
+		params.LawQuant = cfg.LawQuant
+	}
+	if params.CensusTol == 0 {
+		params.CensusTol = cfg.CensusTol
+	}
+	cr := core.NewCensusRunner(nil)
+	cr.SetObs(cfg.Obs.Census, cfg.Obs.Tracer, cfg.Obs.Clock)
+	res, err := core.RunTrial(core.Trial{Engine: proc, N: int64(n), Noise: nm, Params: params, Counts: counts, Trace: trace},
+		r, cr, cfg.Obs.Model)
 	if err != nil {
 		return outcome{err: err}
-	}
-	if proc == model.ProcessCensus {
-		if params.LawQuant == 0 {
-			params.LawQuant = cfg.LawQuant
-		}
-		if params.CensusTol == 0 {
-			params.CensusTol = cfg.CensusTol
-		}
-		return runCensusProtocol(cfg, r, int64(n), nm, params, initial, correct, trace)
-	}
-	eng, err := model.NewEngine(n, nm, proc, r)
-	if err != nil {
-		return outcome{err: err}
-	}
-	cfg.Obs.Model.Bind(eng, proc.String())
-	p, err := core.New(eng, params)
-	if err != nil {
-		return outcome{err: err}
-	}
-	p.SetTrace(trace)
-	res, err := p.Run(initial, correct)
-	if err != nil {
-		return outcome{err: err}
-	}
-	rounds := res.Rounds
-	if res.FirstAllCorrect >= 0 {
-		rounds = res.FirstAllCorrect
 	}
 	return outcome{
 		correct:    res.Correct,
 		consensus:  res.Consensus,
-		rounds:     rounds,
+		rounds:     res.RoundsToAllCorrect(),
 		scheduled:  res.Rounds,
 		maxCounter: res.MaxCounter,
 		memoryBits: res.MemoryBits,
 		trace:      res.Trace,
-	}
-}
-
-// runCensusProtocol executes one protocol trial on the aggregate
-// census engine: the initial per-node vector is summarized by its
-// opinion census and the whole schedule advances with n-independent
-// per-phase cost. The per-node memory observables (maxCounter,
-// memoryBits) are zero — the census engine keeps no per-node state.
-func runCensusProtocol(cfg Config, r *rng.Rand, n int64, nm *noise.Matrix, params core.Params,
-	initial []model.Opinion, correct model.Opinion, trace bool) outcome {
-
-	ints, _ := model.CountOpinions(initial, nm.K())
-	counts := make([]int64, nm.K())
-	for i, c := range ints {
-		counts[i] = int64(c)
-	}
-	cr := core.NewCensusRunner(nil)
-	cr.SetObs(cfg.Obs.Census, cfg.Obs.Tracer, cfg.Obs.Clock)
-	res, err := cr.Run(n, nm, params, counts, correct, trace, r)
-	if err != nil {
-		return outcome{err: err}
-	}
-	rounds := res.Rounds
-	if res.FirstAllCorrect >= 0 {
-		rounds = res.FirstAllCorrect
-	}
-	return outcome{
-		correct:   res.Correct,
-		consensus: res.Consensus,
-		rounds:    rounds,
-		scheduled: res.Rounds,
-		trace:     res.Trace,
 	}
 }
 
@@ -128,19 +86,4 @@ func successStats(outs []outcome) (successes int, meanRounds float64) {
 		sum += float64(o.rounds)
 	}
 	return successes, sum / float64(len(outs))
-}
-
-// biasedCounts builds initial per-opinion node counts for a population
-// of size s over k opinions in which opinion 0 leads every rival by
-// exactly bias·s nodes (rounded) and the rivals share the rest evenly.
-func biasedCounts(s, k int, bias float64) []int {
-	counts := make([]int, k)
-	lead := int(bias * float64(s))
-	rest := s - lead
-	per := rest / k
-	for i := 0; i < k; i++ {
-		counts[i] = per
-	}
-	counts[0] += lead + (rest - per*k)
-	return counts
 }

@@ -11,11 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/gossipkit/noisyrumor/internal/core"
-	"github.com/gossipkit/noisyrumor/internal/model"
-	"github.com/gossipkit/noisyrumor/internal/noise"
-	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
 // chaosGrid runs through the shared law cache too, so the shard merge
@@ -53,14 +48,14 @@ func (w *tornWriter) Write(p []byte) (int, error) {
 	return n, errors.New("chaos: torn write")
 }
 
-// panicAt returns a trial function that panics on the (point, trial)
-// pairs fail picks and runs the real trial everywhere else.
-func panicAt(fail func(point, trial int) bool) func(Point, *noise.Matrix, []int64, int, *rng.Rand, *core.CensusRunner, *model.Metrics) trialOut {
-	return func(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut {
-		if fail(p.Index, t) {
+// panicAt returns a fault hook that panics on the (point, trial) pairs
+// fail picks and lets the real trial run everywhere else.
+func panicAt(fail func(point, trial int) bool) func(point, trial int) error {
+	return func(point, trial int) error {
+		if fail(point, trial) {
 			panic("chaos: trial blew up")
 		}
-		return runTrial(p, nm, counts, t, r, cr, mm)
+		return nil
 	}
 }
 
@@ -284,7 +279,7 @@ func TestChaosQuarantineContainsPermanentFault(t *testing.T) {
 	path := filepath.Join(dir, "ck.json")
 	res, err := Runner{
 		Seed: 7, Workers: 4, Checkpoint: path,
-		trial: panicAt(func(p, t int) bool { return p == 3 && t == 2 }),
+		fault: panicAt(func(p, t int) bool { return p == 3 && t == 2 }),
 	}.RunGrid(g)
 	if err != nil {
 		t.Fatalf("a panicking trial must quarantine its point, not abort: %v", err)
@@ -292,7 +287,7 @@ func TestChaosQuarantineContainsPermanentFault(t *testing.T) {
 	if !reflect.DeepEqual(res.Quarantined, []int{3}) {
 		t.Fatalf("quarantined %v, want exactly point 3", res.Quarantined)
 	}
-	want := PointError{Trial: 2, Permanent: true, Msg: "sweep: point 3 trial 2 panicked: chaos: trial blew up"}
+	want := PointError{Trial: 2, Permanent: true, Msg: "point 3 trial 2 panicked: chaos: trial blew up"}
 	if pr := res.Points[3]; pr.Error == nil || *pr.Error != want {
 		t.Fatalf("quarantine record %+v, want %+v", pr.Error, want)
 	}
@@ -326,7 +321,7 @@ func TestChaosBreakerAbortsSystemicFailure(t *testing.T) {
 	if len(pts) != breakAfter {
 		t.Fatalf("testGrid has %d points; the breaker test needs exactly breakAfter = %d", len(pts), breakAfter)
 	}
-	_, err = Runner{Seed: 7, Workers: 2, trial: panicAt(func(int, int) bool { return true })}.RunGrid(g)
+	_, err = Runner{Seed: 7, Workers: 2, fault: panicAt(func(int, int) bool { return true })}.RunGrid(g)
 	if err == nil || !strings.Contains(err.Error(), "breaker") || !strings.Contains(err.Error(), "point 7") {
 		t.Fatalf("systemic failure returned %v, want a breaker abort at point 7", err)
 	}
@@ -334,15 +329,19 @@ func TestChaosBreakerAbortsSystemicFailure(t *testing.T) {
 
 // TestChaosBisectQuarantineAborts: bisection cannot step past a failed
 // evaluation — a quarantined eval is a loud abort, with the record
-// persisted for the re-run.
+// persisted for the re-run. The error carries no "sweep:" of its own:
+// the CLI adds the only one.
 func TestChaosBisectQuarantineAborts(t *testing.T) {
 	b := testBisect(40)
 	_, err := Runner{
 		Seed: 21, Workers: 2,
-		trial: panicAt(func(p, t int) bool { return p == 0 && t == 0 }),
+		fault: panicAt(func(p, t int) bool { return p == 0 && t == 0 }),
 	}.RunBisect(b)
 	if err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("quarantined bisect eval returned %v, want an abort naming the quarantine", err)
+	}
+	if strings.Contains(err.Error(), "sweep:") {
+		t.Fatalf("bisect abort %q repeats the CLI's \"sweep:\" prefix", err)
 	}
 }
 
@@ -373,11 +372,11 @@ func goroutinesSettle(base int) int {
 // trial error or a failing journal writer, with points still in
 // flight behind the one that failed.
 func TestChaosNoGoroutineOutlivesRun(t *testing.T) {
-	unclassified := func(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut {
-		if p.Index == 2 {
-			return trialOut{err: errors.New("chaos: bad knob")}
+	unclassified := func(point, _ int) error {
+		if point == 2 {
+			return errors.New("chaos: bad knob")
 		}
-		return runTrial(p, nm, counts, t, r, cr, mm)
+		return nil
 	}
 	dir := t.TempDir()
 	for _, c := range []struct {
@@ -389,11 +388,11 @@ func TestChaosNoGoroutineOutlivesRun(t *testing.T) {
 		{"scaling ok", func() error { _, err := Runner{Seed: 7, Workers: 4}.RunScaling(testScaling()); return err }, ""},
 		{"bisect ok", func() error { _, err := Runner{Seed: 7, Workers: 4}.RunBisect(testBisect(40)); return err }, ""},
 		{"breaker", func() error {
-			_, err := Runner{Seed: 7, Workers: 4, trial: panicAt(func(int, int) bool { return true })}.RunGrid(testGrid())
+			_, err := Runner{Seed: 7, Workers: 4, fault: panicAt(func(int, int) bool { return true })}.RunGrid(testGrid())
 			return err
 		}, "breaker"},
 		{"unclassified trial error", func() error {
-			_, err := Runner{Seed: 7, Workers: 4, trial: unclassified}.RunGrid(testGrid())
+			_, err := Runner{Seed: 7, Workers: 4, fault: unclassified}.RunGrid(testGrid())
 			return err
 		}, "point 2 trial 0: chaos: bad knob"},
 		{"failing journal", func() error {
@@ -404,7 +403,7 @@ func TestChaosNoGoroutineOutlivesRun(t *testing.T) {
 			return err
 		}, "point 0 could not be persisted"},
 		{"bisect quarantine", func() error {
-			_, err := Runner{Seed: 7, Workers: 4, trial: panicAt(func(p, t int) bool { return p == 1 })}.RunBisect(testBisect(40))
+			_, err := Runner{Seed: 7, Workers: 4, fault: panicAt(func(p, t int) bool { return p == 1 })}.RunBisect(testBisect(40))
 			return err
 		}, "quarantined"},
 	} {

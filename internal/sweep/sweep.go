@@ -196,9 +196,9 @@ type Runner struct {
 	// retried runs stay bit-identical.
 	Sleeper obs.Sleeper
 
-	// trial runs one trial; nil means runTrial. Tests substitute a
-	// panicking trial to reach quarantine.
-	trial func(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut
+	// fault, when non-nil, runs before each trial. Tests make it panic
+	// to reach quarantine or return an error to reach the abort.
+	fault func(point, trial int) error
 	// journal wraps the checkpoint's append handle; nil keeps the file.
 	// Tests substitute a failing writer to reach the write abort.
 	journal func(io.WriteCloser) io.WriteCloser
@@ -265,9 +265,8 @@ const windowPerWorker = 8
 // a slot keyed by the trial index, so which worker ran which trial
 // never reaches the results.
 type batch struct {
-	p         Point
-	nm        *noise.Matrix
-	counts    []int64
+	point     int        // the point's index
+	trial     core.Trial // what every trial of the point runs, shared read-only
 	pointSeed uint64
 	start     int
 	out       []trialOut
@@ -354,7 +353,7 @@ func (pool *trialPool) work(w int, cr *core.CensusRunner) {
 			if t == 0 {
 				b.startNS = t0
 			}
-			b.out[i] = r.resilientTrial(b.p, b.nm, b.counts, t, b.pointSeed, cr)
+			b.out[i] = r.resilientTrial(b.point, b.trial, t, b.pointSeed, cr)
 			if m != nil {
 				m.trials.Inc()
 				workerTrials.Inc()
@@ -362,7 +361,7 @@ func (pool *trialPool) work(w int, cr *core.CensusRunner) {
 			}
 			if tr := r.Obs.Tracer; tr != nil {
 				tr.Event("trial",
-					obs.F("point", b.p.Index),
+					obs.F("point", b.point),
 					obs.F("trial", t),
 					obs.F("worker", w),
 					obs.F("dur_ns", obs.Now(clk)-t0))
@@ -374,28 +373,32 @@ func (pool *trialPool) work(w int, cr *core.CensusRunner) {
 	}
 }
 
-// pointInputs resolves what every trial of p reads: its channel and
-// its initial census.
-func pointInputs(p Point) (*noise.Matrix, []int64, error) {
+// pointTrial resolves what every trial of p runs, once per point: its
+// engine, its channel and its initial census, opinion 0 correct.
+func pointTrial(p Point) (core.Trial, error) {
 	nm, err := BuildMatrix(p.Matrix, p.K, p.ChannelEps)
 	if err != nil {
-		return nil, nil, fmt.Errorf("point %d: %w", p.Index, err)
+		return core.Trial{}, fmt.Errorf("point %d: %w", p.Index, err)
 	}
 	counts, err := InitialCounts(p.N, p.K, p.Delta)
 	if err != nil {
-		return nil, nil, fmt.Errorf("point %d: %w", p.Index, err)
+		return core.Trial{}, fmt.Errorf("point %d: %w", p.Index, err)
 	}
-	return nm, counts, nil
+	proc, err := pointEngine(p.Engine)
+	if err != nil {
+		return core.Trial{}, fmt.Errorf("point %d: %w", p.Index, err)
+	}
+	return core.Trial{Engine: proc, N: p.N, Noise: nm, Params: p.Params, Counts: counts}, nil
 }
 
-// startBatch submits trials start..start+count−1 of point p (channel
-// nm, initial census counts) to the pool: one copy of the batch per
-// worker that can take a trial of it. Trial t's stream is
-// ForkSeed(ForkSeed(Seed, p.Index), t), a pure function of position,
-// so any worker count yields identical results. count must be ≥ 1.
-func (r Runner) startBatch(pool *trialPool, p Point, nm *noise.Matrix, counts []int64, start, count int) *batch {
+// startBatch submits trials start..start+count−1 of point p (inputs
+// in) to the pool: one copy of the batch per worker that can take a
+// trial of it. Trial t's stream is ForkSeed(ForkSeed(Seed, p.Index), t),
+// a pure function of position, so any worker count yields identical
+// results. count must be ≥ 1.
+func (r Runner) startBatch(pool *trialPool, p Point, in core.Trial, start, count int) *batch {
 	b := &batch{
-		p: p, nm: nm, counts: counts,
+		point: p.Index, trial: in,
 		pointSeed: rng.ForkSeed(r.Seed, uint64(p.Index)),
 		start:     start,
 		out:       make([]trialOut, count),
@@ -410,9 +413,8 @@ func (r Runner) startBatch(pool *trialPool, p Point, nm *noise.Matrix, counts []
 
 // BuildMatrix constructs a named noise matrix: uniform | binary |
 // identity | cycle | reset, with parameter eps (identity ignores it).
-// Every sweep mode resolves matrix names through here; cmd/noisyrumor
-// keeps a parallel facade-level switch over the same family names, so
-// a new family must be added to both.
+// Every sweep mode and cmd/noisyrumor resolve matrix names through
+// here.
 func BuildMatrix(name string, k int, eps float64) (*noise.Matrix, error) {
 	switch name {
 	case "uniform":
@@ -472,7 +474,7 @@ func checkPoints(pts []Point) error {
 			_, err = core.NewSchedule(p.N, p.Params)
 		}
 		if err == nil && first(p.Engine) {
-			err = checkEngine(p.Engine)
+			_, err = pointEngine(p.Engine)
 		}
 		if err != nil {
 			return fmt.Errorf("point %d: %w", p.Index, err)
@@ -481,17 +483,17 @@ func checkPoints(pts []Point) error {
 	return nil
 }
 
-// checkEngine accepts the census engine ("" or "census") and the
-// per-node cross-check engines O, B and P.
-func checkEngine(name string) error {
+// pointEngine resolves a point's engine name: the census engine ("" or
+// "census") or a per-node cross-check engine (O, B or P).
+func pointEngine(name string) (model.Process, error) {
 	if name == "" || name == "census" {
-		return nil
+		return model.ProcessCensus, nil
 	}
 	proc, err := model.ProcessByName(name)
 	if err == nil && proc == model.ProcessCensus {
 		err = fmt.Errorf("engine %q: spell the census engine \"census\" or leave it empty", name)
 	}
-	return err
+	return proc, err
 }
 
 // InitialCounts returns a point's initial opinion census: a fully
@@ -528,95 +530,28 @@ type trialOut struct {
 	err     error
 }
 
-// runTrial executes trial t of the point on r's stream, which already
-// encodes t (only Runner.trial substitutes read the index). counts is
-// the point's initial census (shared read-only across the point's
-// trials), cr the executing worker's reusable census runner, and mm
-// the optional model metric bundle bound to per-node engines
-// (write-only; nil disables it).
-func runTrial(p Point, nm *noise.Matrix, counts []int64, t int, r *rng.Rand, cr *core.CensusRunner, mm *model.Metrics) trialOut {
-	if p.Engine == "" || p.Engine == "census" {
-		res, err := cr.Run(p.N, nm, p.Params, counts, 0, false, r)
-		if err != nil {
-			return trialOut{err: err}
-		}
-		rounds := res.Rounds
-		if res.FirstAllCorrect >= 0 {
-			rounds = res.FirstAllCorrect
-		}
-		return trialOut{correct: res.Correct, rounds: rounds, budget: res.ErrorBudget, qbudget: res.QuantBudget}
-	}
-	return runPerNodeTrial(p, nm, counts, r, mm)
-}
-
-// runPerNodeTrial is the cross-check path: the same point on a
-// per-node engine (O, B or P).
-func runPerNodeTrial(p Point, nm *noise.Matrix, counts []int64, r *rng.Rand, mm *model.Metrics) trialOut {
-	proc, err := model.ProcessByName(p.Engine)
-	if err != nil {
-		return trialOut{err: err}
-	}
-	if proc == model.ProcessCensus {
-		return trialOut{err: fmt.Errorf("census engine reached the per-node path")}
-	}
-	nInt, ok := checked.Int(p.N)
-	if !ok {
-		return trialOut{err: fmt.Errorf("n=%d exceeds the per-node engines' range; use the census engine", p.N)}
-	}
-	narrow := make([]int, len(counts))
-	for i, c := range counts {
-		v, ok := checked.Int(c)
-		if !ok {
-			return trialOut{err: fmt.Errorf("count %d exceeds the per-node engines' range", c)}
-		}
-		narrow[i] = v
-	}
-	var initial []model.Opinion
-	if p.Delta == 0 {
-		initial, err = model.InitRumor(nInt, p.K, 0)
-	} else {
-		initial, err = model.InitPlurality(nInt, narrow)
-	}
-	if err != nil {
-		return trialOut{err: err}
-	}
-	eng, err := model.NewEngine(nInt, nm, proc, r)
-	if err != nil {
-		return trialOut{err: err}
-	}
-	mm.Bind(eng, proc.String())
-	proto, err := core.New(eng, p.Params)
-	if err != nil {
-		return trialOut{err: err}
-	}
-	res, err := proto.Run(initial, 0)
-	if err != nil {
-		return trialOut{err: err}
-	}
-	rounds := res.Rounds
-	if res.FirstAllCorrect >= 0 {
-		rounds = res.FirstAllCorrect
-	}
-	return trialOut{correct: res.Correct, rounds: rounds}
-}
-
-// resilientTrial runs trial t of point p on its stream
-// rng.New(ForkSeed(pointSeed, t)) with panic containment. A panic is
+// resilientTrial runs trial t of the indexed point (inputs in) on its
+// stream rng.New(ForkSeed(pointSeed, t)) with panic containment: a
+// census trial on cr, the executing worker's reusable runner, a
+// per-node cross-check with the model metric bundle bound. A panic is
 // Permanent and quarantines the point at once: a retry would replay
 // the same stream on a reset engine and panic the same way.
-func (r Runner) resilientTrial(p Point, nm *noise.Matrix, counts []int64, t int, pointSeed uint64,
-	cr *core.CensusRunner) (out trialOut) {
-
+func (r Runner) resilientTrial(point int, in core.Trial, t int, pointSeed uint64, cr *core.CensusRunner) (out trialOut) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			out = trialOut{err: resilience.Permanent(fmt.Errorf("sweep: point %d trial %d panicked: %v", p.Index, t, rec))}
+			out = trialOut{err: resilience.Permanent(fmt.Errorf("point %d trial %d panicked: %v", point, t, rec))}
 		}
 	}()
-	run := r.trial
-	if run == nil {
-		run = runTrial
+	if r.fault != nil {
+		if err := r.fault(point, t); err != nil {
+			return trialOut{err: err}
+		}
 	}
-	return run(p, nm, counts, t, rng.New(rng.ForkSeed(pointSeed, uint64(t))), cr, r.Obs.Model)
+	res, err := core.RunTrial(in, rng.New(rng.ForkSeed(pointSeed, uint64(t))), cr, r.Obs.Model)
+	if err != nil {
+		return trialOut{err: err}
+	}
+	return trialOut{correct: res.Correct, rounds: res.RoundsToAllCorrect(), budget: res.ErrorBudget, qbudget: res.QuantBudget}
 }
 
 // inflight is one owned point between admission and commit: running
@@ -690,11 +625,11 @@ func (r Runner) admit(pool *trialPool, ck *checkpoint, p Point) inflight {
 	if pr, ok := ck.get(p.Index); ok {
 		return inflight{p: p, pr: pr}
 	}
-	nm, counts, err := pointInputs(p)
+	in, err := pointTrial(p)
 	if err != nil {
 		return inflight{p: p, err: err}
 	}
-	return inflight{p: p, b: r.startBatch(pool, p, nm, counts, 0, p.Trials)}
+	return inflight{p: p, b: r.startBatch(pool, p, in, 0, p.Trials)}
 }
 
 // evalPointAdaptive evaluates a point in batches on the pool, stopping
@@ -704,7 +639,7 @@ func (r Runner) admit(pool *trialPool, ck *checkpoint, p Point) inflight {
 // worker count, so early stopping preserves determinism. It also
 // returns the obs clock reading at the start of the point's trial 0.
 func (r Runner) evalPointAdaptive(pool *trialPool, p Point, batchSize int) (PointResult, int64, error) {
-	nm, counts, err := pointInputs(p)
+	in, err := pointTrial(p)
 	if err != nil {
 		return PointResult{}, 0, err
 	}
@@ -718,7 +653,7 @@ func (r Runner) evalPointAdaptive(pool *trialPool, p Point, batchSize int) (Poin
 	var startNS int64
 	for len(outs) < p.Trials {
 		count := min(batchSize, p.Trials-len(outs))
-		b := r.startBatch(pool, p, nm, counts, len(outs), count)
+		b := r.startBatch(pool, p, in, len(outs), count)
 		<-b.done
 		if len(outs) == 0 {
 			startNS = b.startNS

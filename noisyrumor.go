@@ -133,7 +133,7 @@ const (
 // Engines lists the accepted engine selector names (O, B, P, census).
 func Engines() []string { return model.ProcessNames() }
 
-// Backends lists the accepted Config.Backend values.
+// Backends lists the accepted Params.Backend values.
 func Backends() []string { return model.BackendNames() }
 
 // Config configures a protocol run.
@@ -154,40 +154,10 @@ type Config struct {
 	// Trace records per-phase statistics into Result.Trace.
 	Trace bool
 	// Engine selects the communication process; the zero value is
-	// ProcessO, the exact per-message simulation.
+	// ProcessO, the exact per-message simulation. The sampling backend,
+	// its thread count and the census engine's knobs are set through
+	// Params (Backend, Threads, LawQuant, CensusTol).
 	Engine Process
-	// Backend selects how phases are sampled: "loop" (the per-message
-	// reference, the default), "batch" (aggregate phase sampling,
-	// statistically equivalent and orders of magnitude faster for
-	// large N) or "parallel" (batch sampling spread over Threads
-	// worker goroutines via an exact multinomial chunk split). See the
-	// package README for when each is exact. If Params.Backend is also
-	// set, Params wins — there is a single resolution path, through
-	// the protocol parameters.
-	Backend string
-	// Threads bounds the "parallel" backend's per-phase worker count;
-	// 0 means GOMAXPROCS and 1 is bit-identical to "batch". Other
-	// backends ignore it. Runs are reproducible for a fixed (Seed,
-	// Backend, Threads). If Params.Threads is also set, Params wins.
-	Threads int
-	// LawQuant is the census engine's Stage-2 law quantization step η:
-	// the pool distribution is rounded onto the deterministic
-	// η-lattice, the majority law memoized by lattice point, and the
-	// law-level certificate min(1, ℓ·d_TV(q, q̂)·sens) charged per
-	// phase into the run's ErrorBudget — approximation quality stays
-	// in the Lemma-3 currency, and because the certificate bounds the
-	// TV distance between the phase laws themselves (not a per-node
-	// coupling) it is n-free: at η = 10⁻³ the budget stays ≪ 1 even at
-	// n = 10⁹ (see DESIGN.md §2). 0 (the default) is exact and
-	// bit-identical to pre-knob runs. Per-node engines ignore it. If
-	// Params.LawQuant is also set, Params wins.
-	LawQuant float64
-	// CensusTol overrides the census engine's per-phase Stage-2
-	// truncation tolerance (0 = the documented default, 10⁻¹³).
-	// Tightening it shrinks ErrorBudget at the price of wider Stage-2
-	// summation windows. Per-node engines ignore it. If
-	// Params.CensusTol is also set, Params wins.
-	CensusTol float64
 }
 
 func (c Config) validate() error {
@@ -207,26 +177,29 @@ func (c Config) params() Params {
 	// Params{Backend: "parallel", Threads: 8} (or {LawQuant: 1e-3})
 	// alone still gets derived constants.
 	probe := c.Params
-	probe.Backend = ""
-	probe.Threads = 0
-	probe.LawQuant = 0
-	probe.CensusTol = 0
-	if probe == (Params{}) {
-		// A zero Params means "defaults": derive ε from the matrix's
-		// worst-case kept bias at δ=1 when possible, falling back to
-		// the uniform-matrix contraction estimate.
-		eps := c.Noise.MinDiagonal() - 1.0/float64(c.Noise.K())
-		if eps <= 0 || eps > 1 {
-			eps = 0.5
-		}
-		p := DefaultParams(eps)
-		p.Backend = c.Params.Backend
-		p.Threads = c.Params.Threads
-		p.LawQuant = c.Params.LawQuant
-		p.CensusTol = c.Params.CensusTol
-		return p
+	probe.Backend, probe.Threads, probe.LawQuant, probe.CensusTol = "", 0, 0, 0
+	if probe != (Params{}) {
+		return c.Params
 	}
-	return c.Params
+	// A zero Params means "defaults": derive ε from the matrix's
+	// worst-case kept bias at δ=1 when possible, falling back to the
+	// uniform-matrix contraction estimate.
+	eps := c.Noise.MinDiagonal() - 1.0/float64(c.Noise.K())
+	if eps <= 0 || eps > 1 {
+		eps = 0.5
+	}
+	p := DefaultParams(eps)
+	p.Backend, p.Threads, p.LawQuant, p.CensusTol = c.Params.Backend, c.Params.Threads, c.Params.LawQuant, c.Params.CensusTol
+	return p
+}
+
+// run executes the protocol on cfg's engine from the initial census
+// counts, judged against correct.
+func (c Config) run(counts []int64, correct Opinion) (CensusResult, error) {
+	return core.RunTrial(core.Trial{
+		Engine: c.Engine, N: c.N, Noise: c.Noise, Params: c.params(),
+		Counts: counts, Correct: correct, Trace: c.Trace,
+	}, rng.New(c.Seed), nil, nil)
 }
 
 // Run executes the full two-stage protocol from an arbitrary initial
@@ -240,48 +213,25 @@ func Run(cfg Config, initial []Opinion, correct Opinion) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Engine == ProcessCensus {
-		if int64(len(initial)) != cfg.N {
-			return Result{}, fmt.Errorf("noisyrumor: %d initial opinions for %d agents", len(initial), cfg.N)
+	if int64(len(initial)) != cfg.N {
+		return Result{}, fmt.Errorf("noisyrumor: %d initial opinions for %d agents", len(initial), cfg.N)
+	}
+	if cfg.Engine != ProcessCensus {
+		return core.RunVector(cfg.Engine, cfg.Noise, cfg.params(), initial, correct, cfg.Trace, rng.New(cfg.Seed), nil)
+	}
+	k := cfg.Noise.K()
+	for i, o := range initial {
+		if o != Undecided && (o < 0 || int(o) >= k) {
+			return Result{}, fmt.Errorf("noisyrumor: agent %d has invalid opinion %d", i, o)
 		}
-		k := cfg.Noise.K()
-		for i, o := range initial {
-			if o != Undecided && (o < 0 || int(o) >= k) {
-				return Result{}, fmt.Errorf("noisyrumor: agent %d has invalid opinion %d", i, o)
-			}
-		}
-		ints, _ := model.CountOpinions(initial, k)
-		counts := make([]int64, k)
-		for i, c := range ints {
-			counts[i] = int64(c)
-		}
-		res, err := RunCensus(cfg, counts, correct)
-		return res.Result, err
 	}
-	params := cfg.params()
-	// Fold the top-level knobs into the protocol parameters so backend
-	// selection has exactly one resolution path (core.New); explicit
-	// Params.Backend/Params.Threads take precedence.
-	if params.Backend == "" {
-		params.Backend = cfg.Backend
+	ints, _ := model.CountOpinions(initial, k)
+	counts := make([]int64, k)
+	for i, c := range ints {
+		counts[i] = int64(c)
 	}
-	if params.Threads == 0 {
-		params.Threads = cfg.Threads
-	}
-	n, err := perNodeN(cfg.N)
-	if err != nil {
-		return Result{}, err
-	}
-	eng, err := model.NewEngine(n, cfg.Noise, cfg.Engine, rng.New(cfg.Seed))
-	if err != nil {
-		return Result{}, err
-	}
-	p, err := core.New(eng, params)
-	if err != nil {
-		return Result{}, err
-	}
-	p.SetTrace(cfg.Trace)
-	return p.Run(initial, correct)
+	res, err := cfg.run(counts, correct)
+	return res.Result, err
 }
 
 // CensusResult reports a census-engine run: the shared Result fields
@@ -293,7 +243,7 @@ type CensusResult = core.CensusResult
 // start with opinion i, the remaining N − Σcounts are undecided, and
 // the outcome is judged against the designated correct opinion. Each
 // phase costs O(k²·poly(sample window)) regardless of N, so
-// N = 10⁹ (and beyond) completes in seconds. Config.Backend/Threads
+// N = 10⁹ (and beyond) completes in seconds. Params.Backend/Threads
 // are ignored — the census engine has no per-node sampling to
 // parallelize.
 func RunCensus(cfg Config, counts []int64, correct Opinion) (CensusResult, error) {
@@ -304,16 +254,8 @@ func RunCensus(cfg Config, counts []int64, correct Opinion) (CensusResult, error
 		return CensusResult{}, fmt.Errorf("noisyrumor: %d opinion counts for a %d-opinion noise matrix",
 			len(counts), cfg.Noise.K())
 	}
-	// Fold the top-level census knobs into the protocol parameters so
-	// each has exactly one resolution path; explicit Params fields win.
-	params := cfg.params()
-	if params.LawQuant == 0 {
-		params.LawQuant = cfg.LawQuant
-	}
-	if params.CensusTol == 0 {
-		params.CensusTol = cfg.CensusTol
-	}
-	return core.RunCensus(cfg.N, cfg.Noise, params, counts, correct, cfg.Trace, rng.New(cfg.Seed))
+	cfg.Engine = ProcessCensus
+	return cfg.run(counts, correct)
 }
 
 // RumorSpreading runs the noisy rumor-spreading problem (Theorem 1):
@@ -323,25 +265,14 @@ func RumorSpreading(cfg Config, correct Opinion) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Engine == ProcessCensus {
-		k := cfg.Noise.K()
-		if correct < 0 || int(correct) >= k {
-			return Result{}, fmt.Errorf("noisyrumor: source opinion %d out of range [0,%d)", correct, k)
-		}
-		counts := make([]int64, k)
-		counts[correct] = 1
-		res, err := RunCensus(cfg, counts, correct)
-		return res.Result, err
+	k := cfg.Noise.K()
+	if correct < 0 || int(correct) >= k {
+		return Result{}, fmt.Errorf("noisyrumor: source opinion %d out of range [0,%d)", correct, k)
 	}
-	n, err := perNodeN(cfg.N)
-	if err != nil {
-		return Result{}, err
-	}
-	initial, err := model.InitRumor(n, cfg.Noise.K(), correct)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(cfg, initial, correct)
+	counts := make([]int64, k)
+	counts[correct] = 1
+	res, err := cfg.run(counts, correct)
+	return res.Result, err
 }
 
 // PluralityConsensus runs the noisy plurality-consensus problem
@@ -357,70 +288,26 @@ func PluralityConsensus(cfg Config, counts []int) (Result, error) {
 		return Result{}, fmt.Errorf("noisyrumor: %d opinion counts for a %d-opinion noise matrix",
 			len(counts), cfg.Noise.K())
 	}
-	if cfg.Engine == ProcessCensus {
-		plurality, strict := pluralityOfCounts(counts)
-		if !strict {
-			return Result{}, fmt.Errorf("noisyrumor: initial counts %v have no strict plurality", counts)
+	wide := make([]int64, len(counts))
+	total := int64(0)
+	for i, c := range counts {
+		if c < 0 {
+			return Result{}, fmt.Errorf("noisyrumor: counts[%d] = %d negative", i, c)
 		}
-		wide := make([]int64, len(counts))
-		total := int64(0)
-		for i, c := range counts {
-			if c < 0 {
-				return Result{}, fmt.Errorf("noisyrumor: counts[%d] = %d negative", i, c)
-			}
-			// Compare before adding so a sum past int64 cannot wrap
-			// negative and dodge the bound check.
-			if int64(c) > cfg.N-total {
-				return Result{}, fmt.Errorf("noisyrumor: counts sum beyond N=%d", cfg.N)
-			}
-			wide[i] = int64(c)
-			total += int64(c)
+		// Compare before adding so a sum past int64 cannot wrap
+		// negative and dodge the bound check.
+		if int64(c) > cfg.N-total {
+			return Result{}, fmt.Errorf("noisyrumor: counts sum beyond N=%d", cfg.N)
 		}
-		res, err := RunCensus(cfg, wide, plurality)
-		return res.Result, err
+		wide[i] = int64(c)
+		total += int64(c)
 	}
-	n, err := perNodeN(cfg.N)
-	if err != nil {
-		return Result{}, err
-	}
-	initial, err := model.InitPlurality(n, counts)
-	if err != nil {
-		return Result{}, err
-	}
-	plurality, strict := model.Plurality(initial, cfg.Noise.K())
+	plurality, strict := core.Plurality(wide)
 	if !strict {
 		return Result{}, fmt.Errorf("noisyrumor: initial counts %v have no strict plurality", counts)
 	}
-	return Run(cfg, initial, plurality)
-}
-
-// perNodeN narrows Config.N for the per-node engines, which size
-// O(N·k) buffers with int indices. On 64-bit hosts the check is moot;
-// on 32-bit builds it turns what would be a silent truncation into an
-// actionable error.
-func perNodeN(n int64) (int, error) {
-	if int64(int(n)) != n {
-		return 0, fmt.Errorf("noisyrumor: N=%d exceeds the per-node engines' int range; use Engine: ProcessCensus", n)
-	}
-	return int(n), nil
-}
-
-// pluralityOfCounts returns the strict-argmax opinion of an initial
-// count vector without materializing a per-node state.
-func pluralityOfCounts(counts []int) (Opinion, bool) {
-	best, bestCount, ties := Opinion(Undecided), -1, 0
-	for i, v := range counts {
-		switch {
-		case v > bestCount:
-			best, bestCount, ties = Opinion(i), v, 1
-		case v == bestCount:
-			ties++
-		}
-	}
-	if bestCount <= 0 {
-		return Undecided, false
-	}
-	return best, ties == 1
+	res, err := cfg.run(wide, plurality)
+	return res.Result, err
 }
 
 // NewSchedule exposes the deterministic phase structure the protocol
