@@ -74,8 +74,18 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	params := noisyrumor.DefaultParams(*eps)
-	params.Backend, params.Threads, params.LawQuant, params.CensusTol = *backend, *threads, *lawQuant, *censusTol
-	cfg := noisyrumor.Config{N: *n, Noise: nm, Params: params, Seed: *seed, Trace: *trace, Engine: proc}
+	params.Backend = *backend
+	params.Threads = *threads
+	params.LawQuant = *lawQuant
+	params.CensusTol = *censusTol
+	cfg := noisyrumor.Config{
+		N:      *n,
+		Noise:  nm,
+		Params: params,
+		Seed:   *seed,
+		Trace:  *trace,
+		Engine: proc,
+	}
 	header := fmt.Sprintf("n=%d k=%d ε=%v matrix=%s engine=%v seed=%d", *n, nm.K(), *eps, *matrix, proc, *seed)
 
 	if proc == noisyrumor.ProcessCensus {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 )
@@ -106,9 +107,9 @@ func TestScheduleInt64(t *testing.T) {
 }
 
 // TestCensusRunnerReuseBitIdentical: a CensusRunner serving many runs
-// — across populations, channels and knob settings — must reproduce
-// the exact result of a fresh RunCensus per run. This is the contract
-// the sweep hot loop's worker-count determinism rests on.
+// through RunTrial — across populations, channels and knob settings —
+// must reproduce the exact result of a fresh RunCensus per run. This is
+// the contract the sweep hot loop's worker-count determinism rests on.
 func TestCensusRunnerReuseBitIdentical(t *testing.T) {
 	nm3, err := noise.Uniform(3, 0.25)
 	if err != nil {
@@ -143,7 +144,8 @@ func TestCensusRunnerReuseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runner.Run(c.n, c.nm, c.params, c.counts, 0, true, rng.New(c.seed))
+		got, err := RunTrial(Trial{Engine: model.ProcessCensus, N: c.n, Noise: c.nm, Params: c.params,
+			Counts: c.counts, Trace: true}, rng.New(c.seed), runner, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

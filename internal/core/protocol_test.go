@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/gossipkit/noisyrumor/internal/model"
@@ -88,6 +89,16 @@ func TestRumorSpreadingNoisyK3(t *testing.T) {
 	}
 	if !res.Correct {
 		t.Fatalf("noisy rumor spreading failed: %+v", res)
+	}
+	// RunTrial from the single-source census lays out the same vector
+	// and draws the same stream.
+	trial, err := RunTrial(Trial{Engine: model.ProcessO, N: 2000, Noise: nm, Params: DefaultParams(0.3),
+		Counts: []int64{0, 1, 0}, Correct: 1}, rng.New(4), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(trial.Result, res) {
+		t.Fatalf("RunTrial diverged from the vector run:\n%+v\nvs\n%+v", trial.Result, res)
 	}
 }
 

@@ -145,18 +145,19 @@ type Config struct {
 	N int64
 	// Noise is the channel matrix; its dimension fixes k.
 	Noise *NoiseMatrix
-	// Params are the protocol constants. The zero value selects
-	// DefaultParams with ε equal to the noise matrix's own contraction
-	// guess — prefer setting it explicitly via DefaultParams(eps).
+	// Params are the protocol constants and the engine knobs: the
+	// sampling backend and its thread count (Backend, Threads) and the
+	// census engine's LawQuant and CensusTol. With no protocol constant
+	// set, DefaultParams applies, with ε equal to the noise matrix's
+	// own contraction guess and the knobs kept — prefer setting it
+	// explicitly via DefaultParams(eps).
 	Params Params
 	// Seed makes the run reproducible.
 	Seed uint64
 	// Trace records per-phase statistics into Result.Trace.
 	Trace bool
 	// Engine selects the communication process; the zero value is
-	// ProcessO, the exact per-message simulation. The sampling backend,
-	// its thread count and the census engine's knobs are set through
-	// Params (Backend, Threads, LawQuant, CensusTol).
+	// ProcessO, the exact per-message simulation.
 	Engine Process
 }
 
@@ -177,20 +178,26 @@ func (c Config) params() Params {
 	// Params{Backend: "parallel", Threads: 8} (or {LawQuant: 1e-3})
 	// alone still gets derived constants.
 	probe := c.Params
-	probe.Backend, probe.Threads, probe.LawQuant, probe.CensusTol = "", 0, 0, 0
-	if probe != (Params{}) {
-		return c.Params
+	probe.Backend = ""
+	probe.Threads = 0
+	probe.LawQuant = 0
+	probe.CensusTol = 0
+	if probe == (Params{}) {
+		// A zero Params means "defaults": derive ε from the matrix's
+		// worst-case kept bias at δ=1 when possible, falling back to
+		// the uniform-matrix contraction estimate.
+		eps := c.Noise.MinDiagonal() - 1.0/float64(c.Noise.K())
+		if eps <= 0 || eps > 1 {
+			eps = 0.5
+		}
+		p := DefaultParams(eps)
+		p.Backend = c.Params.Backend
+		p.Threads = c.Params.Threads
+		p.LawQuant = c.Params.LawQuant
+		p.CensusTol = c.Params.CensusTol
+		return p
 	}
-	// A zero Params means "defaults": derive ε from the matrix's
-	// worst-case kept bias at δ=1 when possible, falling back to the
-	// uniform-matrix contraction estimate.
-	eps := c.Noise.MinDiagonal() - 1.0/float64(c.Noise.K())
-	if eps <= 0 || eps > 1 {
-		eps = 0.5
-	}
-	p := DefaultParams(eps)
-	p.Backend, p.Threads, p.LawQuant, p.CensusTol = c.Params.Backend, c.Params.Threads, c.Params.LawQuant, c.Params.CensusTol
-	return p
+	return c.Params
 }
 
 // run executes the protocol on cfg's engine from the initial census
