@@ -136,6 +136,179 @@ func TestBinaryLawMatchesExactTail(t *testing.T) {
 	}
 }
 
+// exactTernaryPrec is the math/big precision of the exact k = 3
+// oracle: a lattice point's mass takes at most 2ℓ + 3 roundings, so at
+// ℓ = 665 the oracle's own error stays below 2⁻¹⁸⁸ relative.
+const exactTernaryPrec = 200
+
+// exactBinomRow sets row[a] = Pr(Binomial(n, p) = a) for a = 0…n at
+// exactTernaryPrec bits, given pw[i] = (1−p)^i: pw[n], then the
+// two-term recurrence pmf(a+1) = pmf(a)·(n−a)/(a+1)·odds, odds =
+// p/(1−p). p = 1 is the unit row at n.
+func exactBinomRow(row []big.Float, n int, p, odds *big.Float, pw []big.Float) {
+	if p.Cmp(big.NewFloat(1)) == 0 {
+		for a := range row[:n+1] {
+			row[a].SetPrec(exactTernaryPrec).SetInt64(0)
+		}
+		row[n].SetInt64(1)
+		return
+	}
+	row[0].SetPrec(exactTernaryPrec).Set(&pw[n])
+	var f big.Float
+	f.SetPrec(exactTernaryPrec)
+	for a := 0; a < n; a++ {
+		f.SetInt64(int64(n - a))
+		f.Quo(&f, new(big.Float).SetInt64(int64(a+1)))
+		row[a+1].SetPrec(exactTernaryPrec).Mul(&row[a], &f)
+		row[a+1].Mul(&row[a+1], odds)
+	}
+}
+
+// exactTernaryLaw returns r[j] = Pr(maj(Y) = j), Y ~ Multinomial(ℓ, q/Σq)
+// with ties broken u.a.r., at exactTernaryPrec bits: it enumerates every
+// point (y₀, y₁, y₂) of the trinomial lattice, its mass
+// Pr(Y₀ = y₀)·Pr(Y₁ = y₁ | Y₀ = y₀) from q taken exactly from the floats,
+// and splits the mass evenly among the opinions holding the most balls.
+func exactTernaryLaw(q []float64, ell int) []big.Float {
+	nf := func() *big.Float { return new(big.Float).SetPrec(exactTernaryPrec) }
+	sum := nf()
+	for _, v := range q {
+		sum.Add(sum, nf().SetFloat64(v))
+	}
+	one := nf().SetInt64(1)
+	// share returns p and p/(1−p) for p = num/den; odds is nil at p = 1.
+	share := func(num, den *big.Float) (*big.Float, *big.Float) {
+		p := nf()
+		if den.Sign() > 0 {
+			p.Quo(num, den)
+		}
+		p1 := nf().Sub(one, p)
+		if p1.Sign() == 0 {
+			return p, nil
+		}
+		return p, nf().Quo(p, p1)
+	}
+	powers := func(p *big.Float) []big.Float {
+		pw := make([]big.Float, ell+1)
+		p1 := nf().Sub(one, p)
+		pw[0].SetPrec(exactTernaryPrec).SetInt64(1)
+		for i := 1; i <= ell; i++ {
+			pw[i].SetPrec(exactTernaryPrec).Mul(&pw[i-1], p1)
+		}
+		return pw
+	}
+	q0 := nf().SetFloat64(q[0])
+	q12 := nf().Add(nf().SetFloat64(q[1]), nf().SetFloat64(q[2]))
+	p0, odds0 := share(q0, sum)
+	p1, odds1 := share(nf().SetFloat64(q[1]), q12)
+	row0 := make([]big.Float, ell+1)
+	exactBinomRow(row0, ell, p0, odds0, powers(p0))
+	pw1 := powers(p1)
+	row1 := make([]big.Float, ell+1)
+	win := make([]big.Float, 3)
+	for j := range win {
+		win[j].SetPrec(exactTernaryPrec)
+	}
+	var mass big.Float
+	mass.SetPrec(exactTernaryPrec)
+	for y0 := 0; y0 <= ell; y0++ {
+		if row0[y0].Sign() == 0 {
+			continue
+		}
+		rest := ell - y0
+		exactBinomRow(row1, rest, p1, odds1, pw1)
+		for y1 := 0; y1 <= rest; y1++ {
+			y := [3]int{y0, y1, rest - y1}
+			top := max(y[0], y[1], y[2])
+			ties := 0
+			for _, c := range y {
+				if c == top {
+					ties++
+				}
+			}
+			mass.Mul(&row0[y0], &row1[y1])
+			if ties > 1 {
+				mass.Quo(&mass, nf().SetInt64(int64(ties)))
+			}
+			for j, c := range y {
+				if c == top {
+					win[j].Add(&win[j], &mass)
+				}
+			}
+		}
+	}
+	return win
+}
+
+// ternaryExactPools are the k = 3 pools of TestTernaryLawMatchesExact:
+// uniform, a near-tie, skewed, near-consensus and its reverse, a zero
+// opinion first, and a 10⁻⁶ opinion last.
+var ternaryExactPools = [][]float64{
+	{1.0 / 3, 1.0 / 3, 1.0 / 3},
+	{0.36, 0.33, 0.31},
+	{0.5, 0.3, 0.2},
+	{0.8, 0.15, 0.05},
+	{0.05, 0.15, 0.8},
+	{0, 0.55, 0.45},
+	{0.6, 0.4 - 1e-6, 1e-6},
+}
+
+// ternaryExactEps bounds how far the k = 3 law may read above the exact
+// law per opinion, and how far its summed shortfall may pass its
+// dropped mass.
+const ternaryExactEps = 3e-13
+
+// TestTernaryLawMatchesExact holds the k = 3 law to claim 1 — exact up
+// to the truncation mass it accounts for — against exactTernaryLaw, at
+// every fuzz tolerance: no r[j] exceeds the exact value by more than
+// ternaryExactEps, the shortfall Σ(exact − r) stays within dropped +
+// ternaryExactEps, and 0 ≤ dropped ≤ tol. Truncation only ever removes
+// mass, so the law may read low by what it charges, never high.
+func TestTernaryLawMatchesExact(t *testing.T) {
+	type shape struct {
+		q   []float64
+		ell int
+	}
+	var shapes []shape
+	for _, q := range ternaryExactPools {
+		for _, ell := range []int{1, 2, 9, 16, 57, 81, 307} {
+			shapes = append(shapes, shape{q, ell})
+		}
+	}
+	for _, ell := range []int{443, 665} {
+		shapes = append(shapes, shape{ternaryExactPools[1], ell})
+	}
+	worstOver, worstShort := math.Inf(-1), math.Inf(-1)
+	for _, s := range shapes {
+		exact := exactTernaryLaw(s.q, s.ell)
+		for _, tol := range lawFuzzTols {
+			r, dropped := MajorityLaw(s.q, s.ell, tol)
+			if !(dropped >= 0 && dropped <= tol) {
+				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v outside [0, tol]", s.q, s.ell, tol, dropped)
+			}
+			var short big.Float
+			short.SetPrec(exactTernaryPrec)
+			for j := range r {
+				var d big.Float
+				d.SetPrec(exactTernaryPrec).Sub(new(big.Float).SetFloat64(r[j]), &exact[j])
+				over, _ := d.Float64()
+				worstOver = max(worstOver, over)
+				if over > ternaryExactEps {
+					e, _ := exact[j].Float64()
+					t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %.17g, %.3g above the exact %.17g", s.q, s.ell, tol, j, r[j], over, e)
+				}
+				short.Sub(&short, &d)
+			}
+			sh, _ := short.Float64()
+			worstShort = max(worstShort, sh-dropped)
+			if sh > dropped+ternaryExactEps {
+				t.Errorf("q=%v ℓ=%d tol=%g: Σ(exact − r) = %.3g exceeds dropped %.3g", s.q, s.ell, tol, sh, dropped)
+			}
+		}
+	}
+	t.Logf("largest r − exact %.3g; largest Σ(exact − r) − dropped %.3g", worstOver, worstShort)
+}
+
 // TestMajorityLawTruncationConservative is the truncation-bound
 // contract: whatever mass the summation fails to place on some winner
 // must be covered by the reported dropped estimate — Σr + dropped ≥ 1
