@@ -61,8 +61,8 @@ race:
 
 # fuzz runs every fuzz target, one `go test -fuzz` per target, each
 # for FUZZTIME. FuzzMajorityLaw pins MajorityLaw to the frozen rival
-# DP (bit for bit at k = 3 and for point masses, within the two
-# dropped masses at k = 2 and k ≥ 4), bounds its dropped mass, checks
+# DP (bit for bit for point masses, within the two dropped masses at
+# k = 2, 3 and k ≥ 4), bounds its dropped mass, checks
 # that relabelling opinions relabels the law, and checks it against
 # exhaustive enumeration at small ℓ. FuzzCheckpointJournal feeds the
 # sweep's journal reader arbitrary bytes: it must never panic, and
@@ -164,7 +164,7 @@ profile:
 # grid-k35-exact 17 % (DESIGN.md §4),
 # so a change to census.go, cert.go or law.go diffs this output against
 # its parent's and pairs grid-k35-exact when an offset moves.
-LAYOUT_FUNCS := evalTernary|binomRow|setWinner|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle
+LAYOUT_FUNCS := evalTernary|ternaryWindow|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle
 layout:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/sweep" ./cmd/sweep && \

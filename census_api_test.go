@@ -62,6 +62,29 @@ func TestCensusEngineRumorSpreading(t *testing.T) {
 	}
 }
 
+// TestCensusExactK8ReachesConsensus: rumor spreading from one source
+// at n = 10⁹, k = 8, ε = 0.25 on the exact census engine (what
+// `noisyrumor -engine census -n 1000000000 -k 8 -eps 0.25` runs) ends in
+// correct consensus at seeds 1–6. The quantized law (-law-quant 1e-3)
+// failed all six: the first Stage-2 pool's lead sat below half a
+// lattice step, so its law had no plurality (ROADMAP item 1).
+func TestCensusExactK8ReachesConsensus(t *testing.T) {
+	nm, err := UniformNoise(8, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		cfg := Config{N: 1_000_000_000, Noise: nm, Params: DefaultParams(0.25), Seed: seed, Engine: ProcessCensus}
+		res, err := RumorSpreading(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Consensus || !res.Correct {
+			t.Errorf("seed %d: consensus=%v correct=%v winner=%d", seed, res.Consensus, res.Correct, res.Winner)
+		}
+	}
+}
+
 // TestRunCensusExposesBudget: the typed entry point returns the final
 // census and the truncation budget.
 func TestRunCensusExposesBudget(t *testing.T) {

@@ -27,9 +27,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "noisyrumor:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the stderr line of a failed run: the error behind exactly
+// one "noisyrumor: ". The facade's errors carry that prefix already; the
+// command's own and the flag package's do not.
+func errorLine(err error) string {
+	if msg := err.Error(); strings.HasPrefix(msg, "noisyrumor: ") {
+		return msg
+	}
+	return "noisyrumor: " + err.Error()
 }
 
 func run(args []string, out io.Writer) error {

@@ -192,3 +192,33 @@ func TestRunCensusEngineSmoke(t *testing.T) {
 		t.Fatal("bogus engine accepted")
 	}
 }
+
+// TestErrorLineOnePrefix: every rejection reaches stderr behind exactly
+// one "noisyrumor: ", whether the facade (which prefixes its own
+// errors) or the command raised it, on the per-node and census paths.
+func TestErrorLineOnePrefix(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args string
+		want string
+	}{
+		{"no strict plurality", "-n 300 -k 3 -counts 100,100,3", "no strict plurality"},
+		{"census no strict plurality", "-n 300 -k 3 -engine census -counts 100,100,3", "no strict plurality"},
+		{"source out of range", "-n 300 -k 3 -correct 5", "out of range"},
+		{"census source out of range", "-n 300 -k 3 -engine census -correct 5", "out of range"},
+		{"negative count", "-n 300 -k 3 -counts -1,100,50", "negative"},
+		{"counts past N", "-n 300 -k 3 -counts 200,100,50", "beyond N=300"},
+		{"count and k mismatch", "-n 300 -k 3 -counts 1,2", "2 counts for k=3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := run(strings.Fields(c.args), io.Discard)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			line := errorLine(err)
+			if !strings.HasPrefix(line, "noisyrumor: ") || strings.Count(line, "noisyrumor:") != 1 || !strings.Contains(line, c.want) {
+				t.Errorf("stderr line %q: want one leading \"noisyrumor: \" and %q", line, c.want)
+			}
+		})
+	}
+}

@@ -102,22 +102,27 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // within the two dropped masses, and to a 300-bit evaluation of the row
 // within 10⁻¹² (TestBinaryLawMatchesExactTail).
 //
-// Two fast paths answer the rest bit-identically to that DP, r and
-// dropped alike (pinned by TestFastPathsBitIdenticalToDP and
-// FuzzMajorityLaw): a point-mass q (the consensus endgame, where most
-// phases of a winning trial live) collapses to r = q in O(k); and
-// k = 3 fixes a winner, conditions the two rivals on the winning count
-// and sums the first rival's binomial window in one ascending pass,
-// each entry a ending with t = [a = m] + [ℓ−m−a = m] ties. k = 3 keeps
-// this pass: it is bit-identical to the DP, and at ℓ = 57 and 81 up to
-// twice as fast as the Poisson products.
+// k = 3 is one walk per winner (evalTernary): its winning-count row
+// from one binomSaddle value, extended by the recurrence like k = 2's;
+// a strict majority 2m > ℓ wins outright and walks no rival row; below
+// it, the first rival's window ℓ − 2m ≤ a ≤ m is summed from a rival
+// row whose centre is carried from count to count from one more
+// saddle-point anchor, the window ends weighing ½ (⅓ at ℓ = 3m). It is
+// pinned to a 200-bit enumeration of the trinomial lattice: no r[j]
+// more than 10⁻¹⁴ above the exact law, and the shortfall within
+// dropped + 10⁻¹⁴ (TestTernaryLawMatchesExact), and to the DP within the
+// two dropped masses.
 //
-// Every other binomial term — each k = 3 winning-count pmf and the
-// centre of each k = 3 rival row or k ≥ 4 binomial marginal — comes
-// from binomPMF, one table-driven kernel (ln Γ read from a lazily built
-// table, fetched once per evaluation, ln p and ln(1−p) hoisted per
-// winner or row) that reproduces dist.BinomialPMF bit for bit and that
-// the quantization certificate shares.
+// One fast path answers bit-identically to that DP, r and dropped alike
+// (pinned by TestFastPathsBitIdenticalToDP and FuzzMajorityLaw): a
+// point-mass q (the consensus endgame, where most phases of a winning
+// trial live) collapses to r = q in O(k).
+//
+// The centre of each k ≥ 4 binomial marginal comes from binomPMF, one
+// table-driven kernel (ln Γ read from a lazily built table, fetched
+// once per evaluation, ln p and ln(1−p) hoisted per row) that
+// reproduces dist.BinomialPMF bit for bit and that the quantization
+// certificate shares.
 //
 // MajorityLaw allocates its result and scratch; hot paths hold a
 // lawEvaluator and call eval, which reuses both.
@@ -127,14 +132,16 @@ func MajorityLaw(q []float64, ell int, tol float64) ([]float64, float64) {
 }
 
 // lawEvaluator owns the reusable buffers of a MajorityLaw evaluation:
-// the result vector, the k = 3 pass's rival row and conditionals, and
-// the k ≥ 4 path's Poisson rows and products. The zero value is ready
-// to use; after the first eval, further calls at the same (or smaller)
-// k and ℓ allocate nothing. The slice returned by eval is owned by the
+// the result vector, the k = 3 walk's kept winning counts, and the
+// k ≥ 4 path's Poisson rows and products. The zero value is ready to
+// use; after the first eval, further calls at the same (or smaller) k
+// and ℓ allocate nothing. The slice returned by eval is owned by the
 // evaluator and valid until the next eval call.
 type lawEvaluator struct {
-	r  []float64
-	dp majorityDP
+	r []float64
+	// pm[m] is the winning-count pmf of the k = 3 walk's kept counts
+	// m ≤ ℓ/2, written before it is read in the same walk.
+	pm []float64
 	pz poissonLaw
 }
 
@@ -206,57 +213,172 @@ func (ev *lawEvaluator) eval(q []float64, ell int, tol float64) ([]float64, floa
 	return ev.evalPoisson(q, ell, mCut, stateCut, r)
 }
 
-// evalTernary is the k = 3 fast path: the rival DP's count loop
-// (evalGeneral, law_dp_test.go) with winProb replaced by one ascending
-// pass over the first rival's window, bit-identical to the DP. winProb's root state has mass
-// exactly 1, so its next layer holds the window itself (0 + 1·w = w)
-// and its pruned mass is the row's own. The second rival absorbs the
-// R − a balls the first leaves, so window entry a ends with
-// t = [a = m] + [R − a = m] ties, and winProb's absorbing layer adds
-// the entries of each tie class into one cell in ascending a, pruning
-// none (every entry is ≥ the cut). The pass sums each class in the
-// same order and returns winProb's terminal c₀ + c₁/2 + c₂/3, where an
-// empty class adds nothing either way. At R = 0 binomRow's unit row
-// makes this a strict win.
+// evalTernary is the k = 3 path: one walk per winner j. Its winning
+// count m is Binomial(ℓ, p), p = q_j/Σq; the first rival in opinion
+// order holds a ~ Binomial(R, pc) of the R = ℓ − m balls left, pc its
+// share of the two rivals, and the second rival the other R − a.
+//
+// The count row is one binomSaddle value at its mode, clamped to at
+// least the sure-loss floor ⌈ℓ/3⌉, extended both ways by the two-term
+// recurrence until it underflows; a count below mCut is dropped. A
+// strict majority, 2m > ℓ, leaves the rivals fewer balls between them
+// than the winner holds, so it wins with probability 1 and walks no
+// rival row. A count ⌈ℓ/3⌉ ≤ m ≤ ℓ/2 wins on the window
+// ℓ − 2m ≤ a ≤ m, whose two ends tie the winner with one rival each
+// (weight ½) and meet at ℓ = 3m in a three-way tie (weight ⅓);
+// ternaryWindow sums it. Those counts are walked downwards from the
+// highest kept one, carrying the rival row's value at its mode clamped
+// into the window from count to count: one binomSaddle anchor per
+// winner, then B_{R+1}(a) = B_R(a)·(R+1)(1−pc)/(R+1−a) and at most two
+// steps along the row. Going down, the window shrinks away from the
+// row's mode, so the carried value never grows: once it underflows, no
+// lower window holds mass. A zero rival leaves the other holding all R
+// balls, a tie at 2m = ℓ and a loss below it.
 func (ev *lawEvaluator) evalTernary(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
-	dropped := 0.0
-	dp := &ev.dp
-	dp.ensure(3, ell)
 	lf := lfact()
-	for j := 0; j < 3; j++ {
-		p := q[j]
+	floor := (ell + 2) / 3
+	half := ell / 2 // the highest count that is no strict majority
+	if len(ev.pm) < half+1 {
+		ev.pm = make([]float64, half+1)
+	}
+	pm := ev.pm
+	total := q[0] + q[1] + q[2]
+	dropped := 0.0
+	for j, p := range q {
 		if p == 0 {
 			continue
 		}
-		lp, lq := math.Log(p), math.Log1p(-p)
-		dp.setWinner(q, j)
-		for m := (ell + 2) / 3; m <= ell; m++ {
-			pm := binomPMF(lf, ell, m, p, lp, lq)
-			if pm == 0 {
-				continue
+		i1, i2 := 0, 2
+		switch j {
+		case 0:
+			i1 = 1
+		case 2:
+			i2 = 1
+		}
+		x, y := q[i1], q[i2]
+		won := 0.0
+		// The kept counts m ≤ ℓ/2 land in pm[mLo…mHi], one run around
+		// the row's centre.
+		mLo, mHi := half+1, -1
+		keep := func(m int, v float64) {
+			switch {
+			case v < mCut:
+				dropped += v
+			case 2*m > ell:
+				won += v
+			default:
+				pm[m] = v
+				mLo, mHi = min(mLo, m), max(mHi, m)
 			}
-			if pm < mCut {
-				dropped += pm
-				continue
+		}
+		odds := p / (x + y)
+		c := max(min(int(float64(ell+1)*(p/total)), ell), floor)
+		centre := binomSaddle(lf, ell, c, p/total, (x+y)/total)
+		keep(c, centre)
+		v := centre
+		for m := c - 1; m >= floor && v > 0; m-- {
+			// pmf(m) = pmf(m+1)·(m+1)/((ℓ−m)·odds)
+			v *= float64(m+1) / (float64(ell-m) * odds)
+			keep(m, v)
+		}
+		v = centre
+		for m := c + 1; m <= ell && v > 0; m++ {
+			// pmf(m) = pmf(m−1)·(ℓ−m+1)/m·odds
+			v *= float64(ell-m+1) / float64(m) * odds
+			keep(m, v)
+		}
+		switch {
+		case mLo > mHi:
+		case x == 0 || y == 0:
+			if 2*mHi == ell {
+				won += pm[mHi] / 2
 			}
-			R := ell - m
-			lo, hi, pruned := dp.binomRow(0, R, max(0, R-m), min(m, R), stateCut)
-			var c0, c1, c2 float64 // window mass by ties with the winner
-			for a := lo; a <= hi; a++ {
-				switch w := dp.pmf[a]; {
-				case a != m && R-a != m:
-					c0 += w
-				case a == m && R-a == m:
-					c2 += w
-				default:
-					c1 += w
+		default:
+			pc, pcc, rodds := x/(x+y), y/(x+y), x/y
+			// centreIn is the rival row's mode clamped into count m's
+			// window.
+			centreIn := func(m, R int) int {
+				return min(max(min(int(float64(R+1)*pc), R), R-m), m)
+			}
+			m, R := mHi, ell-mHi
+			a := centreIn(m, R)
+			b := binomSaddle(lf, R, a, pc, pcc)
+			for {
+				w, pruned := ternaryWindow(R, R-m, m, a, b, rodds, stateCut)
+				won += pm[m] * w
+				dropped += pm[m] * pruned
+				if m == mLo {
+					break
+				}
+				m, R = m-1, R+1
+				b *= float64(R) * pcc / float64(R-a)
+				for t := centreIn(m, R); a != t; {
+					if a < t {
+						b *= float64(R-a) / float64(a+1) * rodds
+						a++
+					} else {
+						b *= float64(a) / (float64(R-a+1) * rodds)
+						a--
+					}
 				}
 			}
-			r[j] += pm * (c0 + c1/2 + c2/3)
-			dropped += pm * pruned
 		}
+		r[j] = won
 	}
 	return r, dropped
+}
+
+// ternaryWindow returns the win probability and the pruned mass of one
+// k = 3 window lo ≤ a ≤ hi of the rival row Binomial(R, pc), odds =
+// pc/(1−pc), given its value b at the row's mode clamped into the
+// window, c. The row is walked outwards from c; an entry below cut
+// prunes the rest of its side down to underflow, and the window ends
+// weigh ½, a single entry ⅓. A c below cut is the whole window pruned,
+// charged by the envelope (hi − lo + 1)·b: no window entry exceeds b.
+func ternaryWindow(R, lo, hi, c int, b, odds, cut float64) (win, pruned float64) {
+	if b < cut {
+		return 0, float64(hi-lo+1) * b
+	}
+	sum, ends := b, 0.0
+	if c == lo || c == hi {
+		ends = b
+	}
+	v := b
+	for a := c - 1; a >= lo; a-- {
+		// pmf(a) = pmf(a+1)·(a+1)/((R−a)·odds)
+		v *= float64(a+1) / (float64(R-a) * odds)
+		if v < cut {
+			for ; a >= lo && v > 0; a-- {
+				pruned += v
+				v *= float64(a) / (float64(R-a+1) * odds)
+			}
+			break
+		}
+		sum += v
+		if a == lo {
+			ends += v
+		}
+	}
+	v = b
+	for a := c + 1; a <= hi; a++ {
+		// pmf(a) = pmf(a−1)·(R−a+1)/a·odds
+		v *= float64(R-a+1) / float64(a) * odds
+		if v < cut {
+			for ; a <= hi && v > 0; a++ {
+				pruned += v
+				v *= float64(R-a) / float64(a+1) * odds
+			}
+			break
+		}
+		sum += v
+		if a == hi {
+			ends += v
+		}
+	}
+	if lo == hi {
+		return sum / 3, pruned
+	}
+	return sum - ends/2, pruned
 }
 
 // lfactSize bounds the memoized ln(i!) table: it covers every
@@ -291,134 +413,6 @@ func binomPMF(lf []float64, n, k int, p, lp, lq float64) float64 {
 		return math.Exp(lf[n] - lf[k] - lf[n-k] + float64(k)*lp + float64(n-k)*lq)
 	}
 	return dist.BinomialPMF(n, k, p)
-}
-
-// majorityDP holds the k = 3 pass's scratch: the current winner's
-// rival conditionals and one rival's binomial window.
-type majorityDP struct {
-	// k and ell are the shape ensure last sized the scratch for; the
-	// rival DP of law_dp_test.go reads them.
-	k   int
-	ell int
-	pmf []float64 // one rival's binomial window
-	// The current winner's rival conditionals, in opinion order:
-	// pc[s] is rival s's share of the mass the rivals before it left,
-	// lpc[s] and lqc[s] its logs for binomPMF.
-	pc, lpc, lqc []float64
-}
-
-// ensure sizes the scratch for a (k, ℓ) evaluation, growing (never
-// shrinking) the backing arrays so an evaluator amortizes to zero
-// allocations. binomRow's window is fully rewritten before use and
-// setWinner rewrites every conditional, so no stale content can leak
-// into a later shape.
-func (dp *majorityDP) ensure(k, ell int) {
-	dp.k, dp.ell = k, ell
-	if len(dp.pmf) < ell+1 {
-		dp.pmf = make([]float64, ell+1)
-	}
-	if len(dp.pc) < k {
-		c := make([]float64, 3*k)
-		dp.pc, dp.lpc, dp.lqc = c[:k], c[k:2*k], c[2*k:]
-	}
-}
-
-// setWinner fixes candidate winner j for the binomRow calls that
-// follow. Conditional on Y_j the rival profile is Multinomial(·,
-// q_{−j}/(1−q_j)), factored into sequential conditional binomials in
-// opinion order; their success probabilities depend on j alone, not
-// on the winning count, so they are computed here once per winner.
-func (dp *majorityDP) setWinner(q []float64, j int) {
-	remMass := 1 - q[j]
-	s := 0
-	for i, qi := range q {
-		if i == j {
-			continue
-		}
-		pc := 0.0
-		if remMass > 0 {
-			pc = qi / remMass
-			if pc > 1 {
-				pc = 1
-			}
-		}
-		remMass -= qi
-		dp.pc[s], dp.lpc[s], dp.lqc[s] = pc, math.Log(pc), math.Log1p(-pc)
-		s++
-	}
-}
-
-// binomRow fills dp.pmf[a] = Pr(Binomial(R, pc[s]) = a) for a in the
-// returned contiguous window [lo, hi] ⊆ [floor, amax] of entries ≥ cut,
-// and returns the pruned mass: the PMF total over [floor, amax]
-// outside the window. Mass above amax (a rival count exceeding the
-// candidate winner) and below floor (too many balls left for the
-// rivals after s) is deliberately not included — those profiles are
-// sure losses for the winner, not truncation error. The PMF is
-// evaluated once at the in-range mode (binomPMF) and extended by its
-// two-term recurrence, so a call costs O(amax−floor) with one Exp.
-func (dp *majorityDP) binomRow(s, R, floor, amax int, cut float64) (lo, hi int, pruned float64) {
-	p := dp.pc[s]
-	if p <= 0 {
-		if floor > 0 {
-			return 0, -1, 0 // all mass at a = 0 < floor: a sure loss
-		}
-		dp.pmf[0] = 1
-		return 0, 0, 0
-	}
-	if p >= 1 {
-		if R <= amax {
-			dp.pmf[R] = 1
-			return R, R, 0
-		}
-		return 0, -1, 0 // all mass above the cap: a loss, not truncation
-	}
-	mode := min(int(float64(R+1)*p), amax)
-	center := binomPMF(lfact(), R, mode, p, dp.lpc[s], dp.lqc[s])
-	if center < cut {
-		// The entire range is below the cut. Its true mass over
-		// [floor, amax] is bounded by the unimodal envelope: each of
-		// its terms is ≤ center.
-		return 0, -1, float64(amax-floor+1) * center
-	}
-	odds := p / (1 - p)
-	dp.pmf[mode] = center
-	lo = floor
-	v := center
-	for a := mode - 1; a >= floor; a-- {
-		// pmf(a) = pmf(a+1)·(a+1)/((R−a)·odds)
-		v *= float64(a+1) / (float64(R-a) * odds)
-		if v < cut {
-			// The remaining lower tail is monotone decreasing; sum
-			// what the recurrence yields down to the floor until it
-			// underflows.
-			for aa := a; aa >= floor && v > 0; aa-- {
-				pruned += v
-				v *= float64(aa) / (float64(R-aa+1) * odds)
-			}
-			lo = a + 1
-			break
-		}
-		dp.pmf[a] = v
-	}
-	hi = amax
-	v = center
-	for a := mode + 1; a <= amax; a++ {
-		// pmf(a) = pmf(a−1)·(R−a+1)/a·odds
-		v *= float64(R-a+1) / float64(a) * odds
-		if v < cut {
-			for aa := a; aa <= amax && v > 0; aa++ {
-				if aa >= floor {
-					pruned += v
-				}
-				v *= float64(R-aa) / float64(aa+1) * odds
-			}
-			hi = a - 1
-			break
-		}
-		dp.pmf[a] = v
-	}
-	return lo, hi, pruned
 }
 
 // evalPoisson is the k ≥ 4 path (see MajorityLaw for the identity it
@@ -892,9 +886,9 @@ func bd0(x, lam float64) float64 {
 // the winner leaves, so the law is one row, Binomial(ℓ, p) with
 // p = q₀/(q₀+q₁), of opinion 0's count m: opinion 0 wins at 2m > ℓ,
 // opinion 1 at 2m < ℓ, and at 2m = ℓ the two tie, broken u.a.r. The
-// row is evaluated once at its mode (binomSaddle) and extended by
-// binomRow's two-term recurrence in both directions until it
-// underflows, so an evaluation takes one Exp. An entry below mCut is
+// row is evaluated once at its mode (binomSaddle) and extended by the
+// two-term recurrence in both directions until it underflows, so an
+// evaluation takes one Exp. An entry below mCut is
 // dropped, whichever opinion it would elect: the rival DP's count cut.
 // Each entry is classified once, so a dropped tie is charged once,
 // where the DP charges it once per winner. The law is pinned to an

@@ -1,19 +1,20 @@
 package census
 
 // This file holds the general winner×count rival DP (evalGeneral,
-// winProb and their tie-major f/g scratch) on the production
-// majorityDP's setWinner and binomRow. It is the reference the law is
-// tested against: the k = 3 and point-mass fast paths must match it bit
-// for bit, r and dropped alike, and the k = 2 row walk and the k ≥ 4
-// Poissonized path within the two evaluations' dropped masses. Its own
-// r is pinned bit for bit to the older frozen evaluator of
-// law_ref_test.go.
+// winProb and their tie-major f/g scratch) with its per-winner
+// conditionals (setWinner) and rival rows (binomRow), which no
+// production path shares: every term but the count pmf, binomPMF, is
+// its own. It is the reference the law is tested against: the
+// point-mass fast path must match it bit for bit, r and dropped alike,
+// and the k = 2 row walk, the k = 3 walk and the k ≥ 4 Poissonized path
+// within the two evaluations' dropped masses. Its own r is pinned bit
+// for bit to the older frozen evaluator of law_ref_test.go.
 
 import "math"
 
-// dpLawEvaluator is the general rival DP with its scratch: the
-// production majorityDP for the per-winner conditionals and rival rows,
-// and the two DP layers.
+// dpLawEvaluator is the general rival DP with its scratch: majorityDP
+// for the per-winner conditionals and rival rows, and the two DP
+// layers.
 type dpLawEvaluator struct {
 	dp majorityDP
 	// f and g are the current and next DP layer, tie-major: the state
@@ -180,4 +181,132 @@ func (ev *dpLawEvaluator) winProb(m int, cut float64) (float64, float64) {
 		}
 	}
 	return win, pruned
+}
+
+// majorityDP holds the rival DP's per-winner scratch: the current
+// winner's rival conditionals and one rival's binomial window.
+type majorityDP struct {
+	// k and ell are the shape ensure last sized the scratch for; winProb
+	// reads them.
+	k   int
+	ell int
+	pmf []float64 // one rival's binomial window
+	// The current winner's rival conditionals, in opinion order:
+	// pc[s] is rival s's share of the mass the rivals before it left,
+	// lpc[s] and lqc[s] its logs for binomPMF.
+	pc, lpc, lqc []float64
+}
+
+// ensure sizes the scratch for a (k, ℓ) evaluation, growing (never
+// shrinking) the backing arrays so an evaluator amortizes to zero
+// allocations. binomRow's window is fully rewritten before use and
+// setWinner rewrites every conditional, so no stale content can leak
+// into a later shape.
+func (dp *majorityDP) ensure(k, ell int) {
+	dp.k, dp.ell = k, ell
+	if len(dp.pmf) < ell+1 {
+		dp.pmf = make([]float64, ell+1)
+	}
+	if len(dp.pc) < k {
+		c := make([]float64, 3*k)
+		dp.pc, dp.lpc, dp.lqc = c[:k], c[k:2*k], c[2*k:]
+	}
+}
+
+// setWinner fixes candidate winner j for the binomRow calls that
+// follow. Conditional on Y_j the rival profile is Multinomial(·,
+// q_{−j}/(1−q_j)), factored into sequential conditional binomials in
+// opinion order; their success probabilities depend on j alone, not
+// on the winning count, so they are computed here once per winner.
+func (dp *majorityDP) setWinner(q []float64, j int) {
+	remMass := 1 - q[j]
+	s := 0
+	for i, qi := range q {
+		if i == j {
+			continue
+		}
+		pc := 0.0
+		if remMass > 0 {
+			pc = qi / remMass
+			if pc > 1 {
+				pc = 1
+			}
+		}
+		remMass -= qi
+		dp.pc[s], dp.lpc[s], dp.lqc[s] = pc, math.Log(pc), math.Log1p(-pc)
+		s++
+	}
+}
+
+// binomRow fills dp.pmf[a] = Pr(Binomial(R, pc[s]) = a) for a in the
+// returned contiguous window [lo, hi] ⊆ [floor, amax] of entries ≥ cut,
+// and returns the pruned mass: the PMF total over [floor, amax]
+// outside the window. Mass above amax (a rival count exceeding the
+// candidate winner) and below floor (too many balls left for the
+// rivals after s) is deliberately not included — those profiles are
+// sure losses for the winner, not truncation error. The PMF is
+// evaluated once at the in-range mode (binomPMF) and extended by its
+// two-term recurrence, so a call costs O(amax−floor) with one Exp.
+func (dp *majorityDP) binomRow(s, R, floor, amax int, cut float64) (lo, hi int, pruned float64) {
+	p := dp.pc[s]
+	if p <= 0 {
+		if floor > 0 {
+			return 0, -1, 0 // all mass at a = 0 < floor: a sure loss
+		}
+		dp.pmf[0] = 1
+		return 0, 0, 0
+	}
+	if p >= 1 {
+		if R <= amax {
+			dp.pmf[R] = 1
+			return R, R, 0
+		}
+		return 0, -1, 0 // all mass above the cap: a loss, not truncation
+	}
+	mode := min(int(float64(R+1)*p), amax)
+	center := binomPMF(lfact(), R, mode, p, dp.lpc[s], dp.lqc[s])
+	if center < cut {
+		// The entire range is below the cut. Its true mass over
+		// [floor, amax] is bounded by the unimodal envelope: each of
+		// its terms is ≤ center.
+		return 0, -1, float64(amax-floor+1) * center
+	}
+	odds := p / (1 - p)
+	dp.pmf[mode] = center
+	lo = floor
+	v := center
+	for a := mode - 1; a >= floor; a-- {
+		// pmf(a) = pmf(a+1)·(a+1)/((R−a)·odds)
+		v *= float64(a+1) / (float64(R-a) * odds)
+		if v < cut {
+			// The remaining lower tail is monotone decreasing; sum
+			// what the recurrence yields down to the floor until it
+			// underflows.
+			for aa := a; aa >= floor && v > 0; aa-- {
+				pruned += v
+				v *= float64(aa) / (float64(R-aa+1) * odds)
+			}
+			lo = a + 1
+			break
+		}
+		dp.pmf[a] = v
+	}
+	hi = amax
+	v = center
+	for a := mode + 1; a <= amax; a++ {
+		// pmf(a) = pmf(a−1)·(R−a+1)/a·odds
+		v *= float64(R-a+1) / float64(a) * odds
+		if v < cut {
+			for aa := a; aa <= amax && v > 0; aa++ {
+				if aa >= floor {
+					pruned += v
+				}
+				v *= float64(R-aa) / float64(aa+1) * odds
+			}
+			hi = a - 1
+			break
+		}
+		dp.pmf[a] = v
+	}
+	return lo, hi, pruned
 }

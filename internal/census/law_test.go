@@ -256,7 +256,7 @@ var ternaryExactPools = [][]float64{
 // ternaryExactEps bounds how far the k = 3 law may read above the exact
 // law per opinion, and how far its summed shortfall may pass its
 // dropped mass.
-const ternaryExactEps = 3e-13
+const ternaryExactEps = 1e-14
 
 // TestTernaryLawMatchesExact holds the k = 3 law to claim 1 — exact up
 // to the truncation mass it accounts for — against exactTernaryLaw, at
@@ -544,17 +544,23 @@ var lawFuzzEtas = [...]float64{1e-3, 1e-2, 0.1, 0.25}
 
 // decodeLawInput maps fuzz bytes onto a valid MajorityLaw input:
 // k ∈ 2…8, ℓ ∈ 1…128, tol from lawFuzzTols, and q built from one byte
-// per opinion — 0 is a zero entry, 1 a 10⁻⁶ entry, anything else a
-// weight for the remaining mass (equal bytes give exact ties, adjacent
-// ones near-ties). A lone weight is a point mass; when no byte carries
-// weight, opinion 0 becomes the one that does. When bit 2 of tolb is
-// set, q is then snapped onto the η-lattice of the law cache, η from
+// per opinion — 0 is a zero entry, 1 a 10⁻⁶ entry (2⁻⁵³ when bit 5 of
+// tolb is set), anything else a weight for the remaining mass (equal
+// bytes give exact ties, adjacent ones near-ties). A lone weight is a
+// point mass; when no byte carries weight, opinion 0 becomes the one
+// that does. Two equal weights beside one 2⁻⁵³ entry give each of them
+// a share 1 − 2⁻⁵³ of the other's rivals. When bit 2 of tolb is set, q
+// is then snapped onto the η-lattice of the law cache, η from
 // lawFuzzEtas by tolb's bits 3–4: the lattice-edge inputs a quantized
 // engine evaluates.
 func decodeLawInput(kb, ellb, tolb uint8, qb []byte) ([]float64, int, float64) {
 	k := 2 + int(kb)%7
 	ell := 1 + int(ellb)%128
 	tol := lawFuzzTols[int(tolb)%len(lawFuzzTols)]
+	tiny := 1e-6
+	if tolb&32 != 0 {
+		tiny = 0x1p-53
+	}
 	codes := make([]byte, k)
 	copy(codes, qb)
 	if slices.Max(codes) < 2 {
@@ -566,8 +572,8 @@ func decodeLawInput(kb, ellb, tolb uint8, qb []byte) ([]float64, int, float64) {
 		switch c {
 		case 0:
 		case 1:
-			q[i] = 1e-6
-			rest -= 1e-6
+			q[i] = tiny
+			rest -= tiny
 		default:
 			wsum += float64(c)
 		}
@@ -594,16 +600,16 @@ func decodeLawInput(kb, ellb, tolb uint8, qb []byte) ([]float64, int, float64) {
 // law_dp_test.go), whose own r it first pins bit for bit to the older
 // frozen evaluator of law_ref_test.go, and its dropped to 0 ≤ dropped
 // ≤ that copy's (the sure-loss floors stopped charging mass that can
-// never win). Where a bit-identical path answers (k = 3, point masses),
-// r and dropped must equal the DP's bit for bit. The k = 2 row walk and
-// the Poissonized k ≥ 4 path sum the same profiles in another order
-// (and k ≥ 4 prunes other terms), so they are held to the DP within the
-// two truncations: |r − r_DP|₁ ≤ dropped + dropped_DP + 10⁻¹², with
+// never win). Where the point-mass path answers, r and dropped must
+// equal the DP's bit for bit. The k = 2 row walk, the k = 3 walk and
+// the Poissonized k ≥ 4 path sum the same profiles in other orders (and
+// k = 3 and k ≥ 4 prune other terms), so they are held to the DP within
+// the two truncations: |r − r_DP|₁ ≤ dropped + dropped_DP + 10⁻¹², with
 // 0 ≤ dropped ≤ tol.
 // Both laws only ever remove mass from the exact one, so each lies
 // within its own dropped of it. Relabelling is checked on every input:
 // the law of the reversed q is the reversed law, within the two
-// dropped masses — the rival order of the k = 3 pass and the
+// dropped masses — the rival order of the k = 3 walk and the
 // prefix/suffix order of the k ≥ 4 path both follow opinion order. It
 // checks the law's own contract on the same input: Σr + dropped covers
 // all probability, and at enumerable ℓ, against analytic.MajProbs, no
@@ -626,7 +632,7 @@ func FuzzMajorityLaw(f *testing.F) {
 			}
 		}
 		got, gd := MajorityLaw(q, ell, tol)
-		if len(q) == 3 || slices.Contains(q, 1) {
+		if slices.Contains(q, 1) {
 			if math.Float64bits(gd) != math.Float64bits(dd) {
 				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v, rival DP %v", q, ell, tol, gd, dd)
 			}
@@ -675,9 +681,11 @@ func FuzzMajorityLaw(f *testing.F) {
 	})
 }
 
-// checkWithinDP is the k = 2 and k ≥ 4 pin: the law r (dropped gd)
-// lies within |r − r_DP|₁ ≤ gd + dd + 10⁻¹² of the rival DP's (dr, dd),
-// and 0 ≤ gd ≤ tol.
+// checkWithinDP is the k = 2, k = 3 and k ≥ 4 pin: the law r (dropped
+// gd) lies within |r − r_DP|₁ ≤ gd + dd + 10⁻¹² of the rival DP's
+// (dr, dd), and 0 ≤ gd ≤ tol. Each of the two sits below the exact law
+// by at most its own dropped mass (TestTernaryLawMatchesExact holds
+// k = 3 to that within 10⁻¹⁴), so they differ by at most the sum.
 func checkWithinDP(t *testing.T, q []float64, ell int, tol float64, got []float64, gd float64, dr []float64, dd float64) {
 	t.Helper()
 	if !(gd >= 0 && gd <= tol) {
@@ -690,6 +698,182 @@ func checkWithinDP(t *testing.T, q []float64, ell int, tol float64, got []float6
 	if l1 > gd+dd+1e-12 {
 		t.Errorf("q=%v ℓ=%d tol=%g: |r − r_DP|₁ = %.3g exceeds dropped %.3g + DP dropped %.3g",
 			q, ell, tol, l1, gd, dd)
+	}
+}
+
+// TestFastPathsBitIdenticalToDP pins the point-mass path bit for bit,
+// r and dropped alike, against the general winner×count DP it
+// short-cuts, at every fuzz tolerance. The k = 2, k = 3 and k ≥ 4
+// paths sum the same terms in other orders, so they are held to the DP
+// within the two dropped masses (TestBinaryLawWithinDP,
+// TestTernaryLawWithinDP, TestPoissonLawMatchesDPAtCensusScale).
+func TestFastPathsBitIdenticalToDP(t *testing.T) {
+	cases := []struct {
+		q   []float64
+		ell int
+	}{
+		{[]float64{1, 0}, 9},
+		{[]float64{0, 1}, 1},
+		{[]float64{1, 0, 0}, 5},
+		{[]float64{0, 0, 1}, 665},
+		{[]float64{0, 0, 1, 0}, 81},
+	}
+	for _, tol := range lawFuzzTols {
+		for _, c := range cases {
+			r1, d1 := MajorityLaw(c.q, c.ell, tol)
+			r2, d2 := dpLaw(c.q, c.ell, tol)
+			if math.Float64bits(d1) != math.Float64bits(d2) {
+				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v (fast) vs %v (DP)", c.q, c.ell, tol, d1, d2)
+			}
+			for j := range r1 {
+				if math.Float64bits(r1[j]) != math.Float64bits(r2[j]) {
+					t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v (fast) vs %v (DP) — not bit-identical",
+						c.q, c.ell, tol, j, r1[j], r2[j])
+				}
+			}
+		}
+	}
+}
+
+// TestTernaryLawWithinDP holds the k = 3 walk to the rival DP within
+// the two dropped masses (checkWithinDP) at every fuzz tolerance, on
+// the pools its bit pin used to cover: the uniform pool, whose windows
+// hold entries tying the first rival (a = m), the second (R − a = m)
+// and, at m = ℓ/3, both; a zero rival placed first (pc = 0 under
+// winners 1 and 2) and last (pc = 1 under winners 0 and 1); a 10⁻⁶
+// rival; ℓ = 1 and 2, where every row holds at most one ball; a
+// bisect-k3-like pool at ℓ = 57; and skewed and near-tied pools at
+// ℓ = 665.
+func TestTernaryLawWithinDP(t *testing.T) {
+	third := 1.0 / 3
+	for _, c := range []struct {
+		q   []float64
+		ell int
+	}{
+		{[]float64{third, third, third}, 9},
+		{[]float64{third, third, third}, 81},
+		{[]float64{0, 0.55, 0.45}, 57},
+		{[]float64{0.5, 0.5, 0}, 16},
+		{[]float64{0.6, 0.4 - 1e-6, 1e-6}, 57},
+		{[]float64{0.5, 0.3, 0.2}, 1},
+		{[]float64{0.4, 0.35, 0.25}, 2},
+		{[]float64{0.36, 0.32, 0.32}, 57},
+		{[]float64{0.8, 0.15, 0.05}, 665},
+		{[]float64{0.34, 0.33, 0.33}, 665},
+	} {
+		for _, tol := range lawFuzzTols {
+			got, gd := MajorityLaw(c.q, c.ell, tol)
+			dr, dd := dpLaw(c.q, c.ell, tol)
+			checkWithinDP(t, c.q, c.ell, tol, got, gd, dr, dd)
+		}
+	}
+}
+
+// TestBinaryLawWithinDP holds the k = 2 law to the rival DP within the
+// two dropped masses (checkWithinDP) on the pools the bit pin used to
+// cover: odd and even ℓ, skewed and near-tied, at every fuzz tolerance.
+func TestBinaryLawWithinDP(t *testing.T) {
+	for _, c := range []struct {
+		q   []float64
+		ell int
+	}{
+		{[]float64{0.7, 0.3}, 11},
+		{[]float64{0.55, 0.45}, 665},
+		{[]float64{0.5, 0.5}, 16},
+		{[]float64{0.999, 0.001}, 33},
+	} {
+		for _, tol := range lawFuzzTols {
+			got, gd := MajorityLaw(c.q, c.ell, tol)
+			dr, dd := dpLaw(c.q, c.ell, tol)
+			checkWithinDP(t, c.q, c.ell, tol, got, gd, dr, dd)
+		}
+	}
+}
+
+// TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
+// return the exact floats of a fresh one (the allocating wrapper), r
+// and dropped alike, across reuse at varying (k, ℓ, q, tol), and lie
+// within the two dropped masses of the rival DP. Stale scratch is the
+// way this can fail: every row, prefix, suffix, cap-free product and
+// k = 3 winning count is read only inside the window or band the same
+// evaluation wrote. So the sequence
+// shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81, and
+// 443 → 11 → 665 at k = 5), loosens, then tightens, the tolerance,
+// evaluates different pools back to back at one (k, ℓ, tol), and runs
+// a cap-free → capped → cap-free sequence of pools at one (k, ℓ): a
+// pool whose winner's counts all lie above every rival's window, one
+// where prefixes and suffixes carry every winner, and a second
+// cap-free one with different windows.
+func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
+	var ev lawEvaluator
+	cases := []struct {
+		q   []float64
+		ell int
+		tol float64
+	}{
+		{[]float64{0.9, 0.04, 0.03, 0.02, 0.01}, 9, 1e-13},
+		{[]float64{0.5, 0.3, 0.2}, 33, 1e-13},
+		{[]float64{0.7, 0.3}, 11, 1e-13},
+		{[]float64{0.25, 0.25, 0.25, 0.25}, 81, 1e-13},
+		{[]float64{0.5, 0.3, 0.2}, 5, 1e-13},
+		{[]float64{0.16, 0.14, 0.14, 0.12, 0.12, 0.12, 0.1, 0.1}, 120, 1e-13},
+		{[]float64{0.4, 0.35, 0.25}, 11, 1e-6},
+		{[]float64{0.38, 0.34, 0.28}, 11, 1e-3},
+		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 81, 1e-9},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
+		// Same (k, ℓ, tol), a different pool each time: every row and
+		// window of the previous call is stale.
+		{[]float64{0.1, 0.15, 0.2, 0.25, 0.3}, 81, 1e-13},
+		{[]float64{0.2, 0.2, 0.2, 0.2, 0.2}, 81, 1e-13},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
+		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-13},
+		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-6},
+		{[]float64{0.15, 0.05, 0.6, 0.1, 0.1}, 64, 1e-13},
+		// Cap-free → capped → cap-free at k = 5, ℓ = 443.
+		{[]float64{0.7, 0.075, 0.075, 0.075, 0.075}, 443, 1e-13},
+		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 443, 1e-13},
+		{[]float64{0.03, 0.03, 0.03, 0.06, 0.85}, 443, 1e-13},
+		// ℓ going 443 → 11 → 665 at k = 5.
+		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 443, 1e-13},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 11, 1e-13},
+		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 665, 1e-13},
+	}
+	for _, c := range cases {
+		want, wd := MajorityLaw(c.q, c.ell, c.tol)
+		got, gd := ev.eval(c.q, c.ell, c.tol)
+		if wd != gd {
+			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v vs fresh %v", c.q, c.ell, c.tol, gd, wd)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v vs fresh %v", c.q, c.ell, c.tol, j, got[j], want[j])
+			}
+		}
+		dr, dd := dpLaw(c.q, c.ell, c.tol)
+		checkWithinDP(t, c.q, c.ell, c.tol, got, gd, dr, dd)
+	}
+}
+
+// TestLawEvaluatorZeroAllocs pins the lawEvaluator contract that a
+// warmed evaluator allocates nothing: the engine evaluates the law in
+// every exact k ≥ 3 Stage-2 phase, so one allocation per call would
+// show up as GC work across a sweep.
+func TestLawEvaluatorZeroAllocs(t *testing.T) {
+	for _, c := range []struct {
+		q   []float64
+		ell int
+	}{
+		{[]float64{0.55, 0.45}, 81},
+		{[]float64{0.4, 0.35, 0.25}, 81},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81},
+		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 443},
+		{[]float64{0.16, 0.14, 0.14, 0.12, 0.12, 0.12, 0.1, 0.1}, 81},
+	} {
+		var ev lawEvaluator
+		ev.eval(c.q, c.ell, DefaultTolerance)
+		if n := testing.AllocsPerRun(10, func() { ev.eval(c.q, c.ell, DefaultTolerance) }); n != 0 {
+			t.Errorf("k=%d ℓ=%d: warmed eval allocates %v times per call, want 0", len(c.q), c.ell, n)
+		}
 	}
 }
 

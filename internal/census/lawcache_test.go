@@ -168,183 +168,6 @@ func TestQuantBudgetDominatesLawTV(t *testing.T) {
 	}
 }
 
-// TestFastPathsBitIdenticalToDP pins the k = 3 pass and the point-mass
-// path bit for bit, r and dropped alike, against the general
-// winner×count DP they replace — the guarantee that keeps every k = 3
-// trajectory of a `-law-quant 0` engine exactly as before — at every
-// fuzz tolerance. The k = 2 row walk sums the same terms in another
-// order from one saddle-point centre, so it is held to the DP within
-// the two dropped masses (TestBinaryLawWithinDP).
-func TestFastPathsBitIdenticalToDP(t *testing.T) {
-	third := 1.0 / 3
-	cases := []struct {
-		q   []float64
-		ell int
-	}{
-		// k = 3, uniform: the first rival's window holds entries that tie
-		// it with the winner (a = m), that tie the second rival
-		// (R − a = m), and, at m = ℓ/3, both at once.
-		{[]float64{third, third, third}, 9},
-		{[]float64{third, third, third}, 81},
-		// k = 3 with a zero rival placed first (a pc = 0 row under
-		// winners 1, 2) and last (a pc = 1 row under winners 0, 1), and
-		// with a 10⁻⁶ rival.
-		{[]float64{0, 0.55, 0.45}, 57},
-		{[]float64{0.5, 0.5, 0}, 16},
-		{[]float64{0.6, 0.4 - 1e-6, 1e-6}, 57},
-		// k = 3 at ℓ = 1 and 2, where every row holds at most one ball;
-		// a bisect-k3-like pool at ℓ = 57; skewed and near-tied at
-		// ℓ = 665.
-		{[]float64{0.5, 0.3, 0.2}, 1},
-		{[]float64{0.4, 0.35, 0.25}, 2},
-		{[]float64{0.36, 0.32, 0.32}, 57},
-		{[]float64{0.8, 0.15, 0.05}, 665},
-		{[]float64{0.34, 0.33, 0.33}, 665},
-		// Point masses.
-		{[]float64{1, 0}, 9},
-		{[]float64{1, 0, 0}, 5},
-		{[]float64{0, 0, 1, 0}, 81},
-	}
-	for _, tol := range lawFuzzTols {
-		for _, c := range cases {
-			r1, d1 := MajorityLaw(c.q, c.ell, tol)
-			r2, d2 := dpLaw(c.q, c.ell, tol)
-			if math.Float64bits(d1) != math.Float64bits(d2) {
-				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v (fast) vs %v (DP)", c.q, c.ell, tol, d1, d2)
-			}
-			for j := range r1 {
-				if math.Float64bits(r1[j]) != math.Float64bits(r2[j]) {
-					t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v (fast) vs %v (DP) — not bit-identical",
-						c.q, c.ell, tol, j, r1[j], r2[j])
-				}
-			}
-		}
-	}
-}
-
-// TestBinaryLawWithinDP holds the k = 2 law to the rival DP within the
-// two dropped masses (checkWithinDP) on the pools the bit pin used to
-// cover: odd and even ℓ, skewed and near-tied, at every fuzz tolerance.
-func TestBinaryLawWithinDP(t *testing.T) {
-	for _, c := range []struct {
-		q   []float64
-		ell int
-	}{
-		{[]float64{0.7, 0.3}, 11},
-		{[]float64{0.55, 0.45}, 665},
-		{[]float64{0.5, 0.5}, 16},
-		{[]float64{0.999, 0.001}, 33},
-	} {
-		for _, tol := range lawFuzzTols {
-			got, gd := MajorityLaw(c.q, c.ell, tol)
-			dr, dd := dpLaw(c.q, c.ell, tol)
-			checkWithinDP(t, c.q, c.ell, tol, got, gd, dr, dd)
-		}
-	}
-}
-
-// TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
-// return the exact floats of a fresh one (the allocating wrapper), r
-// and dropped alike, across reuse at varying (k, ℓ, q, tol); and
-// against the references, k = 3 the r of the frozen evaluator of
-// law_ref_test.go bit for bit, with dropped never above its (the
-// sure-loss floors charge less, never more), and k = 2 and k ≥ 4 the
-// rival DP within the two dropped masses. Stale scratch is the way this can
-// fail: every row, prefix, suffix and cap-free product is read only
-// inside the window or band the same evaluation wrote. So the sequence
-// shrinks and regrows k (8 → 3 → 5) and ℓ (120 → 11 → 81, and
-// 443 → 11 → 665 at k = 5), loosens, then tightens, the tolerance,
-// evaluates different pools back to back at one (k, ℓ, tol), and runs
-// a cap-free → capped → cap-free sequence of pools at one (k, ℓ): a
-// pool whose winner's counts all lie above every rival's window, one
-// where prefixes and suffixes carry every winner, and a second
-// cap-free one with different windows.
-func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
-	var ev lawEvaluator
-	cases := []struct {
-		q   []float64
-		ell int
-		tol float64
-	}{
-		{[]float64{0.9, 0.04, 0.03, 0.02, 0.01}, 9, 1e-13},
-		{[]float64{0.5, 0.3, 0.2}, 33, 1e-13},
-		{[]float64{0.7, 0.3}, 11, 1e-13},
-		{[]float64{0.25, 0.25, 0.25, 0.25}, 81, 1e-13},
-		{[]float64{0.5, 0.3, 0.2}, 5, 1e-13},
-		{[]float64{0.16, 0.14, 0.14, 0.12, 0.12, 0.12, 0.1, 0.1}, 120, 1e-13},
-		{[]float64{0.4, 0.35, 0.25}, 11, 1e-6},
-		{[]float64{0.38, 0.34, 0.28}, 11, 1e-3},
-		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 81, 1e-9},
-		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
-		// Same (k, ℓ, tol), a different pool each time: every row and
-		// window of the previous call is stale.
-		{[]float64{0.1, 0.15, 0.2, 0.25, 0.3}, 81, 1e-13},
-		{[]float64{0.2, 0.2, 0.2, 0.2, 0.2}, 81, 1e-13},
-		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81, 1e-13},
-		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-13},
-		{[]float64{0.2, 0.1, 0.5, 0.2}, 40, 1e-6},
-		{[]float64{0.15, 0.05, 0.6, 0.1, 0.1}, 64, 1e-13},
-		// Cap-free → capped → cap-free at k = 5, ℓ = 443.
-		{[]float64{0.7, 0.075, 0.075, 0.075, 0.075}, 443, 1e-13},
-		{[]float64{0.24, 0.19, 0.19, 0.19, 0.19}, 443, 1e-13},
-		{[]float64{0.03, 0.03, 0.03, 0.06, 0.85}, 443, 1e-13},
-		// ℓ going 443 → 11 → 665 at k = 5.
-		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 443, 1e-13},
-		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 11, 1e-13},
-		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 665, 1e-13},
-	}
-	for _, c := range cases {
-		want, wd := MajorityLaw(c.q, c.ell, c.tol)
-		got, gd := ev.eval(c.q, c.ell, c.tol)
-		if wd != gd {
-			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v vs fresh %v", c.q, c.ell, c.tol, gd, wd)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v vs fresh %v", c.q, c.ell, c.tol, j, got[j], want[j])
-			}
-		}
-		if len(c.q) != 3 {
-			dr, dd := dpLaw(c.q, c.ell, c.tol)
-			checkWithinDP(t, c.q, c.ell, c.tol, got, gd, dr, dd)
-			continue
-		}
-		var ref refLawEvaluator
-		rwant, rwd := ref.eval(c.q, c.ell, c.tol)
-		if !(gd >= 0 && gd <= rwd) {
-			t.Errorf("q=%v ℓ=%d tol=%g: dropped %v outside [0, reference %v]", c.q, c.ell, c.tol, gd, rwd)
-		}
-		for j := range rwant {
-			if got[j] != rwant[j] {
-				t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v, reference %v", c.q, c.ell, c.tol, j, got[j], rwant[j])
-			}
-		}
-	}
-}
-
-// TestLawEvaluatorZeroAllocs pins the lawEvaluator contract that a
-// warmed evaluator allocates nothing: the engine evaluates the law in
-// every exact k ≥ 3 Stage-2 phase, so one allocation per call would
-// show up as GC work across a sweep.
-func TestLawEvaluatorZeroAllocs(t *testing.T) {
-	for _, c := range []struct {
-		q   []float64
-		ell int
-	}{
-		{[]float64{0.55, 0.45}, 81},
-		{[]float64{0.4, 0.35, 0.25}, 81},
-		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 81},
-		{[]float64{0.5, 0.125, 0.125, 0.125, 0.125}, 443},
-		{[]float64{0.16, 0.14, 0.14, 0.12, 0.12, 0.12, 0.1, 0.1}, 81},
-	} {
-		var ev lawEvaluator
-		ev.eval(c.q, c.ell, DefaultTolerance)
-		if n := testing.AllocsPerRun(10, func() { ev.eval(c.q, c.ell, DefaultTolerance) }); n != 0 {
-			t.Errorf("k=%d ℓ=%d: warmed eval allocates %v times per call, want 0", len(c.q), c.ell, n)
-		}
-	}
-}
-
 // TestEngineResetBitIdentical: a worker reusing one engine via Reset
 // across trials (the sweep hot loop) must produce exactly the
 // trajectories of fresh engines driven by the same streams — across a
