@@ -36,10 +36,11 @@ func main() {
 // one "noisyrumor: ". The facade's errors carry that prefix already; the
 // command's own and the flag package's do not.
 func errorLine(err error) string {
-	if msg := err.Error(); strings.HasPrefix(msg, "noisyrumor: ") {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "noisyrumor: ") {
 		return msg
 	}
-	return "noisyrumor: " + err.Error()
+	return "noisyrumor: " + msg
 }
 
 func run(args []string, out io.Writer) error {

@@ -287,14 +287,17 @@ func (ev *lawEvaluator) evalTernary(q []float64, ell int, mCut, stateCut float64
 			v *= float64(ell-m+1) / float64(m) * odds
 			keep(m, v)
 		}
+		rodds := x / y
 		switch {
 		case mLo > mHi:
-		case x == 0 || y == 0:
+		case rodds == 0 || math.IsInf(rodds, 1):
+			// One rival's share is zero, or too small for float64 beside
+			// the other's.
 			if 2*mHi == ell {
 				won += pm[mHi] / 2
 			}
 		default:
-			pc, pcc, rodds := x/(x+y), y/(x+y), x/y
+			pc, pcc := x/(x+y), y/(x+y)
 			// centreIn is the rival row's mode clamped into count m's
 			// window.
 			centreIn := func(m, R int) int {

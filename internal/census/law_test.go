@@ -137,8 +137,9 @@ func TestBinaryLawMatchesExactTail(t *testing.T) {
 }
 
 // exactTernaryPrec is the math/big precision of the exact k = 3
-// oracle: a lattice point's mass takes at most 2ℓ + 3 roundings, so at
-// ℓ = 665 the oracle's own error stays below 2⁻¹⁸⁸ relative.
+// oracle: a lattice point's mass takes at most 8ℓ + 2 roundings and an
+// opinion's sum fewer than ℓ² more, so at ℓ = 665 the oracle's own
+// error stays below 2⁻¹⁸⁰ relative.
 const exactTernaryPrec = 200
 
 // exactBinomRow sets row[a] = Pr(Binomial(n, p) = a) for a = 0…n at
@@ -255,7 +256,10 @@ var ternaryExactPools = [][]float64{
 
 // ternaryExactEps bounds how far the k = 3 law may read above the exact
 // law per opinion, and how far its summed shortfall may pass its
-// dropped mass.
+// dropped mass. The walk reads at most 4.4·10⁻¹⁵ and 7.7·10⁻¹⁵; the
+// per-count pass it replaced read 1.96·10⁻¹³ (ℓ = 307) and 2.77·10⁻¹³
+// (ℓ = 443), its binomPMF terms carrying ulp(ln ℓ!), and so does a walk
+// anchored with binomPMF instead of binomSaddle.
 const ternaryExactEps = 1e-14
 
 // TestTernaryLawMatchesExact holds the k = 3 law to claim 1 — exact up
