@@ -61,26 +61,40 @@ func TestMajorityLawBinomialIdentity(t *testing.T) {
 // own error stays below 2⁻²⁸⁰ relative.
 const exactBinaryPrec = 300
 
+// exactBinomialRow returns Pr(Binomial(n, p) = a) for a = 0…n at prec
+// bits: (1−p)^n, then the two-term recurrence
+// pmf(a+1) = pmf(a)·(n−a)/(a+1)·p/(1−p); p = 1 is the unit row at n.
+func exactBinomialRow(p *big.Float, n int, prec uint) []*big.Float {
+	nf := func() *big.Float { return new(big.Float).SetPrec(prec) }
+	row := make([]*big.Float, n+1)
+	p1 := nf().Sub(nf().SetInt64(1), p)
+	if p1.Sign() == 0 {
+		for a := range row {
+			row[a] = nf()
+		}
+		row[n].SetInt64(1)
+		return row
+	}
+	odds := nf().Quo(p, p1)
+	row[0] = nf().SetInt64(1)
+	for range n {
+		row[0].Mul(row[0], p1)
+	}
+	for a := 0; a < n; a++ {
+		v := nf().Mul(row[a], nf().SetInt64(int64(n-a)))
+		v.Quo(v, nf().SetInt64(int64(a+1)))
+		row[a+1] = v.Mul(v, odds)
+	}
+	return row
+}
+
 // exactBinaryRow returns Pr(Binomial(ℓ, p) = m) for m = 0…ℓ at
 // exactBinaryPrec bits, p = q₀/(q₀+q₁) taken exactly from the float
-// inputs: (1−p)^ℓ, then the two-term recurrence
-// pmf(m+1) = pmf(m)·(ℓ−m)/(m+1)·p/(1−p).
+// inputs.
 func exactBinaryRow(q0, q1 float64, ell int) []*big.Float {
 	nf := func() *big.Float { return new(big.Float).SetPrec(exactBinaryPrec) }
 	p := nf().Quo(nf().SetFloat64(q0), nf().Add(nf().SetFloat64(q0), nf().SetFloat64(q1)))
-	p1 := nf().Sub(nf().SetInt64(1), p)
-	odds := nf().Quo(p, p1)
-	row := make([]*big.Float, ell+1)
-	row[0] = nf().SetInt64(1)
-	for range ell {
-		row[0].Mul(row[0], p1)
-	}
-	for m := 0; m < ell; m++ {
-		v := nf().Mul(row[m], nf().SetInt64(int64(ell-m)))
-		v.Quo(v, nf().SetInt64(int64(m+1)))
-		row[m+1] = v.Mul(v, odds)
-	}
-	return row
+	return exactBinomialRow(p, ell, exactBinaryPrec)
 }
 
 // TestBinaryLawMatchesExactTail holds the k = 2 law to an exact
@@ -142,29 +156,6 @@ func TestBinaryLawMatchesExactTail(t *testing.T) {
 // error stays below 2⁻¹⁸⁰ relative.
 const exactTernaryPrec = 200
 
-// exactBinomRow sets row[a] = Pr(Binomial(n, p) = a) for a = 0…n at
-// exactTernaryPrec bits, given pw[i] = (1−p)^i: pw[n], then the
-// two-term recurrence pmf(a+1) = pmf(a)·(n−a)/(a+1)·odds, odds =
-// p/(1−p). p = 1 is the unit row at n.
-func exactBinomRow(row []big.Float, n int, p, odds *big.Float, pw []big.Float) {
-	if p.Cmp(big.NewFloat(1)) == 0 {
-		for a := range row[:n+1] {
-			row[a].SetPrec(exactTernaryPrec).SetInt64(0)
-		}
-		row[n].SetInt64(1)
-		return
-	}
-	row[0].SetPrec(exactTernaryPrec).Set(&pw[n])
-	var f big.Float
-	f.SetPrec(exactTernaryPrec)
-	for a := 0; a < n; a++ {
-		f.SetInt64(int64(n - a))
-		f.Quo(&f, new(big.Float).SetInt64(int64(a+1)))
-		row[a+1].SetPrec(exactTernaryPrec).Mul(&row[a], &f)
-		row[a+1].Mul(&row[a+1], odds)
-	}
-}
-
 // exactTernaryLaw returns r[j] = Pr(maj(Y) = j), Y ~ Multinomial(ℓ, q/Σq)
 // with ties broken u.a.r., at exactTernaryPrec bits: it enumerates every
 // point (y₀, y₁, y₂) of the trinomial lattice, its mass
@@ -172,53 +163,27 @@ func exactBinomRow(row []big.Float, n int, p, odds *big.Float, pw []big.Float) {
 // and splits the mass evenly among the opinions holding the most balls.
 func exactTernaryLaw(q []float64, ell int) []big.Float {
 	nf := func() *big.Float { return new(big.Float).SetPrec(exactTernaryPrec) }
-	sum := nf()
-	for _, v := range q {
-		sum.Add(sum, nf().SetFloat64(v))
+	var qb [3]*big.Float
+	for j, v := range q {
+		qb[j] = nf().SetFloat64(v)
 	}
-	one := nf().SetInt64(1)
-	// share returns p and p/(1−p) for p = num/den; odds is nil at p = 1.
-	share := func(num, den *big.Float) (*big.Float, *big.Float) {
-		p := nf()
-		if den.Sign() > 0 {
-			p.Quo(num, den)
-		}
-		p1 := nf().Sub(one, p)
-		if p1.Sign() == 0 {
-			return p, nil
-		}
-		return p, nf().Quo(p, p1)
+	p0 := nf().Quo(qb[0], nf().Add(qb[0], nf().Add(qb[1], qb[2])))
+	p1 := nf()
+	if rest := nf().Add(qb[1], qb[2]); rest.Sign() > 0 {
+		p1.Quo(qb[1], rest)
 	}
-	powers := func(p *big.Float) []big.Float {
-		pw := make([]big.Float, ell+1)
-		p1 := nf().Sub(one, p)
-		pw[0].SetPrec(exactTernaryPrec).SetInt64(1)
-		for i := 1; i <= ell; i++ {
-			pw[i].SetPrec(exactTernaryPrec).Mul(&pw[i-1], p1)
-		}
-		return pw
-	}
-	q0 := nf().SetFloat64(q[0])
-	q12 := nf().Add(nf().SetFloat64(q[1]), nf().SetFloat64(q[2]))
-	p0, odds0 := share(q0, sum)
-	p1, odds1 := share(nf().SetFloat64(q[1]), q12)
-	row0 := make([]big.Float, ell+1)
-	exactBinomRow(row0, ell, p0, odds0, powers(p0))
-	pw1 := powers(p1)
-	row1 := make([]big.Float, ell+1)
+	row0 := exactBinomialRow(p0, ell, exactTernaryPrec)
 	win := make([]big.Float, 3)
 	for j := range win {
 		win[j].SetPrec(exactTernaryPrec)
 	}
-	var mass big.Float
-	mass.SetPrec(exactTernaryPrec)
+	mass := nf()
 	for y0 := 0; y0 <= ell; y0++ {
 		if row0[y0].Sign() == 0 {
 			continue
 		}
 		rest := ell - y0
-		exactBinomRow(row1, rest, p1, odds1, pw1)
-		for y1 := 0; y1 <= rest; y1++ {
+		for y1, v := range exactBinomialRow(p1, rest, exactTernaryPrec) {
 			y := [3]int{y0, y1, rest - y1}
 			top := max(y[0], y[1], y[2])
 			ties := 0
@@ -227,13 +192,13 @@ func exactTernaryLaw(q []float64, ell int) []big.Float {
 					ties++
 				}
 			}
-			mass.Mul(&row0[y0], &row1[y1])
+			mass.Mul(row0[y0], v)
 			if ties > 1 {
-				mass.Quo(&mass, nf().SetInt64(int64(ties)))
+				mass.Quo(mass, nf().SetInt64(int64(ties)))
 			}
 			for j, c := range y {
 				if c == top {
-					win[j].Add(&win[j], &mass)
+					win[j].Add(&win[j], mass)
 				}
 			}
 		}
