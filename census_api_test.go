@@ -67,7 +67,7 @@ func TestCensusEngineRumorSpreading(t *testing.T) {
 // `noisyrumor -engine census -n 1000000000 -k 8 -eps 0.25` runs) ends in
 // correct consensus at seeds 1–6. The quantized law (-law-quant 1e-3)
 // failed all six: the first Stage-2 pool's lead sat below half a
-// lattice step, so its law had no plurality (ROADMAP item 1).
+// lattice step, so its law had no plurality.
 func TestCensusExactK8ReachesConsensus(t *testing.T) {
 	nm, err := UniformNoise(8, 0.25)
 	if err != nil {
