@@ -36,11 +36,11 @@ GOVULNCHECK_VERSION := v1.1.4
 
 # lint is the static contract gate: gofmt, go vet, then nrlint — the
 # project's own analyzer suite, one pass per contract: budget /
-# determinism / obswrite / overflow / rngfork, with budget and
-# determinism interprocedural (see DESIGN.md "Statically enforced
-# contracts"). staticcheck and govulncheck run when installed (CI
-# installs the pinned versions above); a bare or stale
-# `//nrlint:allow` fails the build.
+# determinism / obswrite / overflow, with budget and determinism
+# interprocedural (see DESIGN.md "Statically enforced contracts").
+# staticcheck and govulncheck run when installed (CI installs the
+# pinned versions above); a bare or stale `//nrlint:allow` fails the
+# build.
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 	    echo "gofmt: needs formatting:"; echo "$$unformatted"; exit 1; fi
@@ -161,8 +161,10 @@ profile:
 # layout prints where the Stage-2 law's hot functions land in a fresh
 # cmd/sweep build: address, size in bytes and address mod 64. Moving
 # them by 32 bytes, with no change to their code, has cost
-# grid-k35-exact 17 % (DESIGN.md §4),
-# so a change to census.go, cert.go or law.go diffs this output against
+# grid-k35-exact 17 % (DESIGN.md §4). cmd/sweep links rng, dist, lp,
+# noise and obs ahead of census, so an edit to any function of those
+# packages that cmd/sweep links can move them as well as an edit to
+# census.go, cert.go or law.go. Such a change diffs this output against
 # its parent's and pairs grid-k35-exact when an offset moves.
 LAYOUT_FUNCS := evalTernary|ternaryWindow|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle
 layout:

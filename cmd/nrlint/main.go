@@ -1,11 +1,11 @@
 // nrlint is the repo's project-specific multichecker: it runs the
-// internal/analyzers suite (budget, determinism, obswrite, overflow,
-// rngfork) over every package of the module — bottom-up over the
-// import DAG, so the determinism and budget passes see dependency
-// summaries — and fails when any finding survives the
-// //nrlint:allow suppression filter, including policy findings for
-// bare (unjustified) or stale suppressions. `make lint` and CI run
-// it; see DESIGN.md "Statically enforced contracts".
+// internal/analyzers suite (budget, determinism, obswrite, overflow)
+// over every package of the module — bottom-up over the import DAG,
+// so the determinism and budget passes see dependency summaries —
+// and fails when any finding survives the //nrlint:allow suppression
+// filter, including policy findings for bare (unjustified) or stale
+// suppressions. `make lint` and CI run it; see DESIGN.md "Statically
+// enforced contracts".
 //
 // Usage:
 //

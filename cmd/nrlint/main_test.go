@@ -19,15 +19,16 @@ func TestListAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if got, want := strings.Join(names, " "), "budget determinism obswrite overflow rngfork"; got != want {
+	if got, want := strings.Join(names, " "), "budget determinism obswrite overflow"; got != want {
 		t.Errorf("-list names %q, want %q:\n%s", got, want, out.String())
 	}
 }
 
 // TestUnknownAnalyzerRejected also pins that the names of the passes
-// folded into determinism and budget are gone from -run.
+// folded into determinism and budget, and of the deleted rngfork
+// pass, are gone from -run.
 func TestUnknownAnalyzerRejected(t *testing.T) {
-	for _, name := range []string{"nosuch", "detcall", "budgetflow"} {
+	for _, name := range []string{"nosuch", "detcall", "budgetflow", "rngfork"} {
 		var out, errOut bytes.Buffer
 		if code := run([]string{"-run", name}, &out, &errOut); code != 2 {
 			t.Fatalf("nrlint -run %s exited %d, want 2", name, code)
@@ -50,8 +51,8 @@ func TestUnknownFormatRejected(t *testing.T) {
 func TestNewAnalyzersRunnable(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "checked")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-run", "budget,determinism,obswrite,overflow,rngfork", dir}, &out, &errOut); code != 0 {
-		t.Fatalf("nrlint -run budget,determinism,obswrite,overflow,rngfork exited %d:\n%s%s", code, out.String(), errOut.String())
+	if code := run([]string{"-run", "budget,determinism,obswrite,overflow", dir}, &out, &errOut); code != 0 {
+		t.Fatalf("nrlint -run budget,determinism,obswrite,overflow exited %d:\n%s%s", code, out.String(), errOut.String())
 	}
 }
 

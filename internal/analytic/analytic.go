@@ -6,9 +6,10 @@
 //     Lemma 15;
 //   - Prop1LowerBound, the right-hand side of Proposition 1:
 //     √(2ℓ/π)·g(δ,ℓ)/4^(k−2);
-//   - MajProbs / MajGap, the exact distribution of maj_ℓ(u) under a
-//     multinomial sample, by enumeration (the quantity Lemmas 9–11
-//     bound);
+//   - MajProbs, the exact distribution of maj_ℓ(u) under a
+//     multinomial sample, by enumeration; its gaps
+//     Pr(maj_ℓ = m) − Pr(maj_ℓ = i) are the quantity Lemmas 9–11
+//     bound;
 //   - StrictWinProbs, the no-tie win probabilities of Lemma 10;
 //   - Lemma13Bounds, the central-binomial-coefficient sandwich;
 //   - Lemma16Bound, the trinomial Chernoff-type tail bound.
@@ -116,16 +117,10 @@ func MajProbs(probs []float64, ell int) []float64 {
 	return out
 }
 
-// MajGap returns Pr(maj_ℓ = m) − Pr(maj_ℓ = i), exactly.
-func MajGap(probs []float64, ell, m, i int) float64 {
-	pr := MajProbs(probs, ell)
-	return pr[m] - pr[i]
-}
-
 // StrictWinProbs returns, for each opinion i, the probability that the
 // multinomial sample count X_i strictly exceeds every other count —
 // the tie-free events of Lemma 10, which lower-bound the majority gap:
-// MajGap(m,i) ≥ StrictWin[m] − StrictWin[i].
+// Pr(maj_ℓ = m) − Pr(maj_ℓ = i) ≥ StrictWin[m] − StrictWin[i].
 func StrictWinProbs(probs []float64, ell int) []float64 {
 	k := len(probs)
 	out := make([]float64, k)

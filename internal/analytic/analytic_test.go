@@ -147,8 +147,8 @@ func TestMajProbsDegenerateCategory(t *testing.T) {
 }
 
 func TestMajGapPositiveForPlurality(t *testing.T) {
-	gap := MajGap([]float64{0.5, 0.3, 0.2}, 9, 0, 1)
-	if gap <= 0 {
+	pr := MajProbs([]float64{0.5, 0.3, 0.2}, 9)
+	if gap := pr[0] - pr[1]; gap <= 0 {
 		t.Fatalf("gap = %v", gap)
 	}
 }
@@ -171,8 +171,9 @@ func TestMajGapSatisfiesProp1Bound(t *testing.T) {
 		// δ = gap between top and the best rival.
 		delta := c.probs[0] - c.probs[1]
 		bound := Prop1LowerBound(delta, c.ell, k)
+		pr := MajProbs(c.probs, c.ell)
 		for i := 1; i < k; i++ {
-			gap := MajGap(c.probs, c.ell, 0, i)
+			gap := pr[0] - pr[i]
 			if gap < bound-1e-12 {
 				t.Fatalf("probs=%v ℓ=%d rival %d: gap %v below bound %v",
 					c.probs, c.ell, i, gap, bound)

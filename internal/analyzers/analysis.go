@@ -4,11 +4,10 @@
 // bit-identical results at any worker count (determinism), int64
 // census counters that never silently wrap or narrow (overflow),
 // every approximation charged to the Lemma-3 error budget (budget),
-// disciplined rng stream forking (rngfork), and write-only
-// observability in deterministic code (obswrite). One pass per
-// contract: determinism and budget each compute per-function facts
-// in a Facts hook (facts.go), so their Run hooks also see through
-// calls into other packages.
+// and write-only observability in deterministic code (obswrite). One
+// pass per contract: determinism and budget each compute per-function
+// facts in a Facts hook (facts.go), so their Run hooks also see
+// through calls into other packages.
 //
 // The framework deliberately mirrors the golang.org/x/tools
 // go/analysis API shape (Analyzer, Pass, Diagnostic) so the passes
@@ -25,8 +24,8 @@
 // A bare suppression (missing the `-- reason` tail) is itself a
 // finding, so CI fails on any unexplained allow. See suppress.go.
 //
-// Package opt-in: the determinism, obswrite, overflow and rngfork
-// passes apply only to packages that declare the contract with a
+// Package opt-in: the determinism, obswrite and overflow passes
+// apply only to packages that declare the contract with a
 // `//nrlint:deterministic` comment (conventionally above the package
 // clause); the budget pass is repo-wide, since budget-carrying types
 // may flow anywhere.
@@ -141,7 +140,6 @@ func All() []*Analyzer {
 		DeterminismAnalyzer,
 		OverflowAnalyzer,
 		BudgetAnalyzer,
-		RngForkAnalyzer,
 		ObsWriteAnalyzer,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })

@@ -22,10 +22,6 @@ func TestBudgetFixture(t *testing.T) {
 	RunFixture(t, []*Analyzer{BudgetAnalyzer}, filepath.Join("testdata", "src", "budget"))
 }
 
-func TestRngForkFixture(t *testing.T) {
-	RunFixture(t, []*Analyzer{RngForkAnalyzer}, filepath.Join("testdata", "src", "rngfork"))
-}
-
 // The interprocedural fixtures are multi-package: the directory under
 // test holds the //nrlint:deterministic (or budget-using) package and
 // a helper/ subpackage WITHOUT the directive — the cross-package shape
@@ -45,10 +41,10 @@ func TestObsWriteFixture(t *testing.T) {
 
 func TestSuiteRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 5 {
-		t.Fatalf("All() = %d analyzers, want 5", len(all))
+	if len(all) != 4 {
+		t.Fatalf("All() = %d analyzers, want 4", len(all))
 	}
-	for _, name := range []string{"budget", "determinism", "obswrite", "overflow", "rngfork"} {
+	for _, name := range []string{"budget", "determinism", "obswrite", "overflow"} {
 		if ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}
@@ -59,7 +55,7 @@ func TestSuiteRegistry(t *testing.T) {
 }
 
 // TestUnannotatedPackageIsExempt pins the opt-in rule: the
-// determinism/overflow/rngfork passes keep quiet on packages without
+// determinism/overflow passes keep quiet on packages without
 // the //nrlint:deterministic directive (the budget pass is the
 // repo-wide exception, exercised by its fixture).
 func TestUnannotatedPackageIsExempt(t *testing.T) {
@@ -68,7 +64,7 @@ func TestUnannotatedPackageIsExempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, err := loader.RunDirs([]string{filepath.Join("testdata", "src", "unannotated")},
-		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, RngForkAnalyzer})
+		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

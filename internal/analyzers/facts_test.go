@@ -49,7 +49,7 @@ func TestFactKeyShapes(t *testing.T) {
 }
 
 // TestOtherPassesMissObsReads is the golden contrast for obswrite:
-// the determinism, overflow, rngfork and budget passes stay silent on
+// the determinism, overflow and budget passes stay silent on
 // its fixture, so the obswrite fixture proves that pass sees
 // instrument reads no other pass could.
 func TestOtherPassesMissObsReads(t *testing.T) {
@@ -58,7 +58,7 @@ func TestOtherPassesMissObsReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, err := loader.RunDirs([]string{filepath.Join("testdata", "src", "obswrite")},
-		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, RngForkAnalyzer, BudgetAnalyzer})
+		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, BudgetAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,11 @@ import (
 
 // ObsWriteAnalyzer enforces the DESIGN.md §2 observability contract
 // mechanically: deterministic packages may WRITE to internal/obs
-// instruments (counters tick, histograms observe, spans open) but may
-// never READ them back — a metric value flowing into simulation state
-// would couple results to scrape timing, scheduling, or whatever else
-// moved the instrument, reintroducing through the side door exactly
-// the nondeterminism the directive forbids. The pass checks every
+// instruments (counters tick, histograms observe, tracers emit) but
+// may never READ them back — a metric value flowing into simulation
+// state would couple results to scrape timing, scheduling, or whatever
+// else moved the instrument, reintroducing through the side door
+// exactly the nondeterminism the directive forbids. The pass checks every
 // selector call whose method is defined in internal/obs inside a
 // //nrlint:deterministic package against the write-only method set;
 // reads (Value, Snapshot, expositors, registry iteration) and
@@ -36,8 +36,8 @@ var ObsWriteAnalyzer = &Analyzer{
 var obsWriteMethods = map[string]bool{
 	// instrument mutation
 	"Inc": true, "Add": true, "Set": true, "Observe": true,
-	// tracing (span open/close and annotation emit state, expose none)
-	"Start": true, "End": true, "Event": true,
+	// tracing (an event emits state, exposes none)
+	"Event": true,
 	// registration / construction on registries and vec families, and
 	// an instrument's shards (a new write target, no state exposed)
 	"With": true, "Counter": true, "Gauge": true, "GaugeFunc": true,

@@ -17,8 +17,8 @@ import (
 //
 //   - narrowing conversions from int64 (int64→int/int32/…): these
 //     silently truncate on wrap; convert through internal/checked
-//     (checked.Int, checked.Int32) or prove the round trip inline
-//     with the blessed `int64(int(x)) == x` guard shape;
+//     (checked.Int) or prove the round trip inline with the blessed
+//     `int64(int(x)) == x` guard shape;
 //   - unchecked `a+b`, `a*b`, `+=`, `*=` on int64 operands: overflow
 //     wraps silently; use checked.Add64 / checked.Mul64, or justify a
 //     bounded site with //nrlint:allow overflow -- <bound>.
@@ -94,7 +94,7 @@ func checkNarrowing(pass *Pass, call *ast.CallExpr, blessed map[*ast.CallExpr]bo
 	if basicKind(pass.TypeOf(call.Args[0])) != types.Int64 {
 		return
 	}
-	pass.Reportf(call.Pos(), "narrowing conversion %s(…) from int64 truncates silently on overflow; use internal/checked (checked.Int / checked.Int32) or the round-trip guard int64(%s(x)) == x",
+	pass.Reportf(call.Pos(), "narrowing conversion %s(…) from int64 truncates silently on overflow; use internal/checked (checked.Int) or the round-trip guard int64(%s(x)) == x",
 		typeExprString(call.Fun), typeExprString(call.Fun))
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/gossipkit/noisyrumor/internal/obs"
+	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
 func mapRangePositive(m map[string]int) int {
@@ -34,6 +35,26 @@ func mapRangeSortedNegative(m map[string]int) []int {
 		out = append(out, m[k])
 	}
 	return out
+}
+
+// Stream fan-outs keyed by map iteration: the pairing of keys to
+// streams is stable, but the order of the derived seeds is not. The
+// first loop has the key-collection idiom's shape, yet appends a
+// value derived from the key rather than the key itself.
+func mapKeyForkSeedPositive(seed uint64, m map[uint64]int) []uint64 {
+	var seeds []uint64
+	for k := range m { // want `range over map m iterates in randomized order`
+		seeds = append(seeds, rng.ForkSeed(seed, k))
+	}
+	return seeds
+}
+
+func mapValueForkSeedPositive(seed uint64, m map[string]uint64) []*rng.Rand {
+	var kids []*rng.Rand
+	for _, v := range m { // want `range over map m iterates in randomized order`
+		kids = append(kids, rng.New(rng.ForkSeed(seed, v)))
+	}
+	return kids
 }
 
 func mapRangeAllowedNegative(m map[string]int) int {

@@ -1,7 +1,7 @@
 // Package obswrite is the analysistest fixture for the obswrite
 // analyzer: inside a //nrlint:deterministic package, internal/obs
-// instruments are write-only. Writes (Inc, Add, Set, Observe, span
-// open/close, registration, shards) and the blessed injected-clock
+// instruments are write-only. Writes (Inc, Add, Set, Observe, trace
+// events, registration, shards) and the blessed injected-clock
 // helpers (obs.Now, obs.SinceSeconds) pass; reads (Value, Count, Sum,
 // Snapshot, expositors, direct clock access, harness-side Serve) are
 // findings.
@@ -39,10 +39,8 @@ func writesNegative(e *engine, reg *obs.Registry) {
 	reg.AttachCounter("rumor_attached_total", "pre-built counter", e.rounds)
 }
 
-func spansNegative(e *engine) {
-	span := e.tracer.Start("sweep.point", obs.F("eps", 0.25))
+func traceEventNegative(e *engine) {
 	e.tracer.Event("sweep.begin")
-	span.End(obs.F("rounds", 12))
 }
 
 func injectedClockNegative(e *engine) float64 {

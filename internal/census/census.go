@@ -247,9 +247,6 @@ func (e *Engine) Init(counts []int64) error {
 	return nil
 }
 
-// N returns the population size.
-func (e *Engine) N() int64 { return e.n }
-
 // K returns the opinion-space size.
 func (e *Engine) K() int { return e.k }
 
@@ -258,9 +255,6 @@ func (e *Engine) Counts() []int64 { return append([]int64(nil), e.counts...) }
 
 // Undecided returns the number of undecided nodes.
 func (e *Engine) Undecided() int64 { return e.und }
-
-// Rand returns the engine's random stream.
-func (e *Engine) Rand() *rng.Rand { return e.r }
 
 // SetTolerance overrides the per-phase truncation tolerance (see
 // DefaultTolerance). Lowering it tightens ErrorBudget at the price of

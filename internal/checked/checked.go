@@ -56,11 +56,3 @@ func Int(v int64) (int, bool) {
 	}
 	return int(v), true
 }
-
-// Int32 narrows v to int32, reporting whether the value survived.
-func Int32(v int64) (int32, bool) {
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, false
-	}
-	return int32(v), true
-}

@@ -68,13 +68,4 @@ func TestNarrow(t *testing.T) {
 	if v, ok := Int(42); !ok || v != 42 {
 		t.Errorf("Int(42) = %d, %v", v, ok)
 	}
-	if v, ok := Int32(math.MaxInt32); !ok || v != math.MaxInt32 {
-		t.Errorf("Int32(MaxInt32) = %d, %v", v, ok)
-	}
-	if _, ok := Int32(math.MaxInt32 + 1); ok {
-		t.Error("Int32 missed overflow")
-	}
-	if _, ok := Int32(math.MinInt32 - 1); ok {
-		t.Error("Int32 missed underflow")
-	}
 }

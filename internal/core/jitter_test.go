@@ -33,7 +33,7 @@ func TestRunJitteredModerateJitterSucceeds(t *testing.T) {
 	}
 	p := newProtocol(t, 1500, nm, 0.3, 22)
 	// Jitter of a quarter of the regular Stage-2 phase length.
-	jitter := p.Schedule().Stage2[0].SampleSize / 2
+	jitter := p.sched.Stage2[0].SampleSize / 2
 	init, _ := model.InitRumor(1500, 3, 0)
 	res, err := p.RunJittered(init, 0, jitter)
 	if err != nil {
@@ -73,8 +73,8 @@ func TestRunJitteredRoundsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != p.Schedule().TotalRounds()+jitter {
-		t.Fatalf("rounds = %d, want %d", res.Rounds, p.Schedule().TotalRounds()+jitter)
+	if res.Rounds != p.sched.TotalRounds()+jitter {
+		t.Fatalf("rounds = %d, want %d", res.Rounds, p.sched.TotalRounds()+jitter)
 	}
 	if !res.Correct { // identity channel: success is deterministic
 		t.Fatalf("noiseless jittered run failed: %+v", res)
@@ -110,7 +110,7 @@ func TestRunAdversarialLightCorruptionPreservesPlurality(t *testing.T) {
 	nm, _ := noise.Uniform(3, 0.3)
 	p := newProtocol(t, 1000, nm, 0.3, 27)
 	init, _ := model.InitPlurality(1000, []int{450, 300, 250})
-	stage1 := p.Schedule().Stage1Rounds()
+	stage1 := p.sched.Stage1Rounds()
 	_, err := p.RunAdversarial(init, 0, Adversary{FlipsPerRound: 1, ActiveFrom: stage1 + 1})
 	if err != nil {
 		t.Fatal(err)

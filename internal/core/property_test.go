@@ -63,7 +63,7 @@ func TestProtocolPreservesOpinionValidity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := model.NewEngine(n, nm, model.ProcessO, r.Fork(uint64(trial)))
+		eng, err := model.NewEngine(n, nm, model.ProcessO, rng.New(rng.ForkSeed(r.Uint64(), uint64(trial))))
 		if err != nil {
 			t.Fatal(err)
 		}

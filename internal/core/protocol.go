@@ -147,9 +147,6 @@ func New(engine *model.Engine, params Params) (*Protocol, error) {
 // SetTrace enables per-phase statistics collection.
 func (p *Protocol) SetTrace(on bool) { p.trace = on }
 
-// Schedule returns the deterministic round schedule in use.
-func (p *Protocol) Schedule() Schedule { return p.sched }
-
 // Run executes the full protocol from the given initial opinions
 // (which are copied, not mutated) and reports the outcome relative to
 // the correct opinion m.

@@ -169,7 +169,7 @@ func TestStage1TraceInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != len(p.Schedule().Stage1)+len(p.Schedule().Stage2) {
+	if len(res.Trace) != len(p.sched.Stage1)+len(p.sched.Stage2) {
 		t.Fatalf("trace has %d entries", len(res.Trace))
 	}
 	prevOpinionated := int64(0)
@@ -253,9 +253,9 @@ func TestMemoryAccounting(t *testing.T) {
 	// The counters are phase-local: they must be O(phase length), not
 	// O(total rounds). The longest phase is a few hundred rounds here;
 	// allow generous fluctuation but reject run-total magnitudes.
-	if res.MaxCounter > p.Schedule().TotalRounds() {
+	if res.MaxCounter > p.sched.TotalRounds() {
 		t.Fatalf("MaxCounter %d exceeds total rounds %d: counters not phase-local",
-			res.MaxCounter, p.Schedule().TotalRounds())
+			res.MaxCounter, p.sched.TotalRounds())
 	}
 }
 

@@ -74,9 +74,6 @@ func NewAliasTable(weights []float64) *AliasTable {
 	return t
 }
 
-// K returns the number of categories.
-func (t *AliasTable) K() int { return len(t.prob) }
-
 // Sample draws one category.
 func (t *AliasTable) Sample(r *rng.Rand) int {
 	i := int(r.Uint64n(uint64(len(t.prob))))

@@ -259,8 +259,8 @@ func TestSampleMultisetWholeMultiset(t *testing.T) {
 func TestAliasTableFrequencies(t *testing.T) {
 	weights := []float64{1, 2, 3, 4}
 	tab := NewAliasTable(weights)
-	if tab.K() != 4 {
-		t.Fatalf("K = %d", tab.K())
+	if len(tab.prob) != 4 {
+		t.Fatalf("K = %d", len(tab.prob))
 	}
 	r := rng.New(31337)
 	const draws = 40000

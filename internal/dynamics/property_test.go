@@ -33,7 +33,7 @@ func TestDynamicsPreserveValidity(t *testing.T) {
 			return false
 		}
 		res, err := Run(Config{Rule: rule, H: 3, Noise: nm, MaxRounds: 30},
-			init, 0, r.Fork(uint64(seed)))
+			init, 0, rng.New(rng.ForkSeed(r.Uint64(), uint64(seed))))
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestVoterMartingaleWinRate(t *testing.T) {
 	wins := 0
 	for trial := 0; trial < trials; trial++ {
 		res, err := Run(Config{Rule: Voter, Noise: nm, MaxRounds: 100000},
-			init, 0, r.Fork(uint64(trial)))
+			init, 0, rng.New(rng.ForkSeed(r.Uint64(), uint64(trial))))
 		if err != nil {
 			t.Fatal(err)
 		}

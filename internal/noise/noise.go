@@ -142,12 +142,6 @@ func (m *Matrix) RowTables() []*dist.AliasTable {
 	return tables
 }
 
-// Perturb returns the received opinion when opinion i is transmitted,
-// using precomputed row tables.
-func Perturb(tables []*dist.AliasTable, r *rng.Rand, i int) int {
-	return tables[i].Sample(r)
-}
-
 // SplitCounts applies the channel to an aggregate sent multiset: the
 // sent[i] messages of opinion i are re-colored with one k-way
 // multinomial draw over row i — the exact joint law of perturbing

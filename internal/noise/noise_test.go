@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/gossipkit/noisyrumor/internal/dist"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
@@ -322,6 +323,13 @@ func TestBias(t *testing.T) {
 	if got := Bias([]float64{1}, 0); got != 1 {
 		t.Fatalf("k=1 bias = %v", got)
 	}
+}
+
+// Perturb returns the received opinion when opinion i is transmitted,
+// using precomputed row tables: the per-message reference that
+// SplitCounts' aggregate draw is checked and benchmarked against.
+func Perturb(tables []*dist.AliasTable, r *rng.Rand, i int) int {
+	return tables[i].Sample(r)
 }
 
 func TestPerturbDistribution(t *testing.T) {

@@ -64,14 +64,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// URL returns the http base URL for the bound address.
-func (s *Server) URL() string {
-	if s == nil {
-		return ""
-	}
-	return "http://" + s.Addr()
-}
-
 // Close stops the listener; in-flight requests are cut off.
 func (s *Server) Close() error {
 	if s == nil {

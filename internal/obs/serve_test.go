@@ -36,7 +36,7 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestServeMetrics(t *testing.T) {
 	s, _ := startTestServer(t)
-	code, body := get(t, s.URL()+"/metrics")
+	code, body := get(t, "http://"+s.Addr()+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)
 	}
@@ -55,7 +55,7 @@ func TestServeMetrics(t *testing.T) {
 
 func TestServeMetricsJSON(t *testing.T) {
 	s, _ := startTestServer(t)
-	code, body := get(t, s.URL()+"/metrics.json")
+	code, body := get(t, "http://"+s.Addr()+"/metrics.json")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics.json status = %d", code)
 	}
@@ -66,7 +66,7 @@ func TestServeMetricsJSON(t *testing.T) {
 
 func TestServeHealthz(t *testing.T) {
 	s, _ := startTestServer(t)
-	code, body := get(t, s.URL()+"/healthz")
+	code, body := get(t, "http://"+s.Addr()+"/healthz")
 	if code != http.StatusOK || body != "ok\n" {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
@@ -74,7 +74,7 @@ func TestServeHealthz(t *testing.T) {
 
 func TestServePprofIndex(t *testing.T) {
 	s, _ := startTestServer(t)
-	code, body := get(t, s.URL()+"/debug/pprof/")
+	code, body := get(t, "http://"+s.Addr()+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ = %d (len %d)", code, len(body))
 	}
@@ -83,7 +83,7 @@ func TestServePprofIndex(t *testing.T) {
 func TestServePprofHeap(t *testing.T) {
 	s, _ := startTestServer(t)
 	// A pprof protobuf profile is gzip-compressed: check the magic.
-	code, body := get(t, s.URL()+"/debug/pprof/heap")
+	code, body := get(t, "http://"+s.Addr()+"/debug/pprof/heap")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/pprof/heap status = %d", code)
 	}

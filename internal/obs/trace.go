@@ -19,8 +19,8 @@ func F(key string, val any) Field { return Field{Key: key, Val: val} }
 // keys sorted (encoding/json sorts map keys), written under a mutex so
 // concurrent workers never interleave partial lines. Timestamps come
 // from the injected Clock (ts_ns, monotonic origin); with a nil Clock
-// every ts_ns is 0 and span durations are 0, but events still flow —
-// the trace stream stays structurally useful in deterministic runs.
+// every ts_ns is 0, but events still flow — the trace stream stays
+// structurally useful in deterministic runs.
 //
 // A nil *Tracer is a no-op everywhere, so instrumented layers carry an
 // optional tracer without guarding each call site.
@@ -78,53 +78,4 @@ func (t *Tracer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
-}
-
-// A Span is an in-flight timed region started with Tracer.Start; End
-// emits the event with dur_ns. The zero Span (from a nil tracer) is a
-// valid no-op.
-type Span struct {
-	t      *Tracer
-	ev     string
-	start  int64
-	fields []Field
-}
-
-// Start opens a span. Nothing is emitted until End, which writes one
-// event carrying the start timestamp and the duration.
-func (t *Tracer) Start(ev string, fields ...Field) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, ev: ev, start: Now(t.clock), fields: fields}
-}
-
-// End closes the span, emitting its event with dur_ns and any extra
-// fields appended to those given at Start.
-func (s Span) End(fields ...Field) {
-	if s.t == nil {
-		return
-	}
-	dur := Now(s.t.clock) - s.start
-	all := s.fields
-	if len(fields) > 0 {
-		all = append(append([]Field(nil), s.fields...), fields...)
-	}
-	m := make(map[string]any, len(all)+3)
-	m["ev"] = s.ev
-	m["ts_ns"] = s.start
-	m["dur_ns"] = dur
-	for _, f := range all {
-		m[f.Key] = f.Val
-	}
-	line, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	s.t.mu.Lock()
-	if s.t.err == nil {
-		_, s.t.err = s.t.w.Write(line)
-	}
-	s.t.mu.Unlock()
 }

@@ -38,34 +38,9 @@ func TestTracerEvents(t *testing.T) {
 	}
 }
 
-func TestTracerSpan(t *testing.T) {
-	var buf bytes.Buffer
-	var clk ManualClock
-	tr := NewTracer(&buf, &clk)
-	clk.Advance(1000)
-	sp := tr.Start("trial", F("point", 3))
-	if buf.Len() != 0 {
-		t.Fatalf("Start must not emit, wrote %q", buf.String())
-	}
-	clk.Advance(250)
-	sp.End(F("ok", true))
-	var ev map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
-		t.Fatalf("span event not JSON: %v", err)
-	}
-	if ev["ev"] != "trial" || ev["ts_ns"] != float64(1000) || ev["dur_ns"] != float64(250) {
-		t.Fatalf("span timing wrong: %v", ev)
-	}
-	if ev["point"] != float64(3) || ev["ok"] != true {
-		t.Fatalf("span fields wrong: %v", ev)
-	}
-}
-
 func TestTracerNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Event("anything", F("k", "v"))
-	sp := tr.Start("span")
-	sp.End()
 	if tr.Err() != nil {
 		t.Fatalf("nil tracer Err = %v", tr.Err())
 	}

@@ -42,6 +42,3 @@ func (b *Breaker) Err() error {
 	}
 	return Permanent(fmt.Errorf("resilience: breaker open after %d consecutive failures (%d total)", b.streak, b.total))
 }
-
-// Tripped reports whether the breaker is open.
-func (b *Breaker) Tripped() bool { return b != nil && b.tripped }

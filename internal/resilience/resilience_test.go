@@ -175,8 +175,8 @@ func TestBreaker(t *testing.T) {
 	if err := b.Err(); err == nil || !IsPermanent(err) {
 		t.Fatalf("breaker error %v, want a Permanent trip", err)
 	}
-	if !b.Tripped() {
-		t.Error("Tripped() should report open")
+	if !b.tripped {
+		t.Error("breaker should report open")
 	}
 	never := NewBreaker(0)
 	for i := 0; i < 100; i++ {

@@ -10,8 +10,8 @@
 //   - a Rand wrapper with the uniform-variate helpers the simulators
 //     need (Uint64n without modulo bias, Float64, Intn, Perm, Shuffle,
 //     Bernoulli);
-//   - deterministic stream forking (Rand.Fork and ForkSeed), so that
-//     trial i of experiment E always sees the same random stream no
+//   - deterministic stream forking (ForkSeed), so that trial i of
+//     experiment E always sees the stream New(ForkSeed(seed, i)) no
 //     matter how many workers run concurrently.
 //
 // math/rand is deliberately not used: its global functions are

@@ -6,8 +6,8 @@ import (
 )
 
 // Rand wraps a Source with the variate helpers the simulators need.
-// It is not safe for concurrent use; use Fork to give each goroutine
-// its own stream.
+// It is not safe for concurrent use; give each goroutine its own
+// stream with New(ForkSeed(seed, index)).
 type Rand struct {
 	src Source
 }
@@ -16,14 +16,6 @@ type Rand struct {
 // seeded with seed.
 func New(seed uint64) *Rand {
 	return &Rand{src: NewXoshiro256(seed)}
-}
-
-// Fork derives a new independent Rand keyed by index. Forking is
-// deterministic: the child stream depends only on the bits drawn so far
-// and index, so the harness can hand trial i its stream without
-// consuming a data-dependent amount of the parent stream.
-func (r *Rand) Fork(index uint64) *Rand {
-	return New(ForkSeed(r.Uint64(), index))
 }
 
 // Uint64 returns a uniform 64-bit value.

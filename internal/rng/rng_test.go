@@ -56,23 +56,6 @@ func TestXoshiroSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestXoshiroJumpDisjoint(t *testing.T) {
-	a := NewXoshiro256(7)
-	b := NewXoshiro256(7)
-	b.Jump()
-	// After a jump the two streams must not be identical.
-	diff := false
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("Jump produced an identical stream")
-	}
-}
-
 func TestForkSeedDecorrelated(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < 10000; i++ {
@@ -277,10 +260,13 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
+// The two Fork tests check the fan-out idiom every caller uses: a
+// child stream New(ForkSeed(parentSeed, index)).
+
 func TestForkIndependence(t *testing.T) {
-	parent := New(99)
-	a := parent.Fork(0)
-	b := parent.Fork(1)
+	seed := New(99).Uint64()
+	a := New(ForkSeed(seed, 0))
+	b := New(ForkSeed(seed, 1))
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == b.Uint64() {
@@ -295,8 +281,8 @@ func TestForkIndependence(t *testing.T) {
 func TestForkDeterministicGivenParentState(t *testing.T) {
 	p1 := New(99)
 	p2 := New(99)
-	a := p1.Fork(5)
-	b := p2.Fork(5)
+	a := New(ForkSeed(p1.Uint64(), 5))
+	b := New(ForkSeed(p2.Uint64(), 5))
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("forks from identical parent states diverge")

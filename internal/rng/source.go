@@ -4,7 +4,7 @@ package rng
 // words. Implementations must be deterministic given their seed and
 // need not be safe for concurrent use; callers that share a Source
 // across goroutines must fork per-goroutine streams instead (see
-// Rand.Fork).
+// ForkSeed).
 type Source interface {
 	// Uint64 returns the next uniformly distributed 64-bit value.
 	Uint64() uint64

@@ -37,27 +37,3 @@ func (x *Xoshiro256) Uint64() uint64 {
 
 	return result
 }
-
-// Jump advances the generator by 2^128 steps, equivalent to 2^128 calls
-// to Uint64. Repeated Jump calls carve the period into non-overlapping
-// sub-streams, an alternative to seed forking when long-range stream
-// independence must be provable rather than merely statistical.
-func (x *Xoshiro256) Jump() {
-	jump := [4]uint64{
-		0x180ec6d33cfd0aba, 0xd5a61266f0c9392c,
-		0xa9582618e03fc9aa, 0x39abdc4529b1661c,
-	}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
-			}
-			x.Uint64()
-		}
-	}
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
-}
