@@ -19,7 +19,7 @@ HEADLINE_BENCH := 'BenchmarkRumorSpreading($$|Huge)|BenchmarkPhase(Batch|Paralle
 # specific point.
 BENCH_N ?= $(shell i=1; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; echo $$i)
 
-.PHONY: build vet lint test race fuzz sweep-smoke obs-smoke chaos examples bench-test bench-quick bench-json profile layout check clean
+.PHONY: build vet lint test race fuzz sweep-smoke obs-smoke chaos examples bench-test bench-quick bench-json profile layout layout-diff check clean
 
 build:
 	$(GO) build ./...
@@ -164,8 +164,8 @@ profile:
 # grid-k35-exact 17 % (DESIGN.md §4). cmd/sweep links rng, dist, lp,
 # noise and obs ahead of census, so an edit to any function of those
 # packages that cmd/sweep links can move them as well as an edit to
-# census.go, cert.go or law.go. Such a change diffs this output against
-# its parent's and pairs grid-k35-exact when an offset moves.
+# census.go, cert.go or law.go. Such a change runs `make layout-diff`
+# against its parent and pairs grid-k35-exact when an offset moves.
 LAYOUT_FUNCS := evalTernary|ternaryWindow|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle
 layout:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -175,6 +175,26 @@ layout:
 	     $$4 ~ /internal\/census\.(\(\*[A-Za-z]+\)\.)?($(LAYOUT_FUNCS))$$/ { \
 	       name = $$4; sub(/.*internal\/census\./, "", name); \
 	       printf "%s %6d %2d %s\n", $$1, $$2, hex(substr($$1, length($$1) - 1)) % 64, name }'
+
+# layout-diff extracts LAYOUT_BASE (default HEAD) with git archive into
+# a temporary directory, runs `make layout` there and in the working
+# tree, prints each LAYOUT_FUNCS function whose address mod 64 differs
+# (or that only one side has) and exits 1 if any does. It runs offline.
+# It is not a CI step: a deliberate move is settled by paired
+# grid-k35-* runs, not by this diff.
+LAYOUT_BASE ?= HEAD
+layout-diff:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/base" && \
+	git archive "$(LAYOUT_BASE)" | tar -x -C "$$dir/base" && \
+	$(MAKE) -s --no-print-directory -C "$$dir/base" layout > "$$dir/base.txt" && \
+	$(MAKE) -s --no-print-directory layout > "$$dir/work.txt" && \
+	awk -v base="$(LAYOUT_BASE)" 'NR == FNR { was[$$4] = $$3; next } \
+	     { now[$$4] = $$3; if (!($$4 in was)) { print $$4 ": only in the working tree"; moved++ } \
+	       else if (was[$$4] != $$3) { printf "%s: mod 64 %d -> %d\n", $$4, was[$$4], $$3; moved++ } } \
+	     END { for (f in was) if (!(f in now)) { print f ": only in " base; moved++ } \
+	       if (moved) { printf "layout-diff: %d function(s) moved against %s\n", moved, base; exit 1 } \
+	       printf "layout-diff: no offset mod 64 moved against %s (%d functions)\n", base, FNR }' \
+	    "$$dir/base.txt" "$$dir/work.txt"
 
 check: build lint race fuzz sweep-smoke obs-smoke chaos examples bench-test bench-quick
 

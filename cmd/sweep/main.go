@@ -13,9 +13,11 @@
 //	    -proto-eps 0.4 -lo 0.1 -hi 0.3 -tol 0.005 -trials 400
 //	sweep scaling -matrix uniform -k 3 -eps 0.3 -decades 3-12 -trials 12
 //	sweep grid ... -checkpoint sweep.ck.json   # interrupt and re-run to resume
-//	sweep bisect ... -law-quant 1e-3           # Stage-2 law cache: ~order-of-
-//	    # magnitude faster, each phase's law-level certificate ℓ·d_TV·sens
-//	    # added to every budget (reported separately as the quant leg)
+//	sweep bisect ... -law-quant 1e-3           # Stage-2 law cache: each phase's
+//	    # law-level certificate ℓ·d_TV·sens added to every budget (reported
+//	    # separately as the quant leg). Measured only 1.2× faster than exact
+//	    # on the k = 3, 5 benchmark grid, and at k = 8, n = 10⁹ it misses
+//	    # consensus the exact law reaches (DESIGN.md §2, known defect)
 //	sweep grid ... -shard 2/4 -checkpoint shard2.json  # one slice of four hosts
 //	sweep merge -out merged.json shard*.json   # recombine shard checkpoints into
 //	    # the byte-identical single-host journal (resumable by one host)

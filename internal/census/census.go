@@ -100,6 +100,7 @@ type Engine struct {
 	qbudget float64   // quantization leg of budget (Σ per-phase certs)
 	cache   *LawCache // quantized-law memo (nil until quantization is on)
 	law     lawEvaluator
+	upd     survivalMemo // Stage-2 update probabilities, kept by Reset
 
 	// Observability sinks (SetObs). Strictly write-only from the hot
 	// path: nothing below ever reads them back, so attaching them
@@ -161,12 +162,13 @@ func New(n int64, nm *noise.Matrix, r *rng.Rand) (*Engine, error) {
 
 // Reset rebinds the engine to a fresh run — population n, channel nm,
 // stream r, initial census counts — reusing every internal buffer,
-// the law evaluator and the law cache, so hot loops (one engine per
-// sweep worker, reused across trials and grid points) run whole
-// trials without allocating. A Reset run is bit-identical to a fresh
-// New+Init engine driven by the same stream. Tolerance, quantization
-// and cache settings carry over; callers that vary them per run must
-// re-Set them.
+// the law evaluator, the update-probability memo and the law cache,
+// so hot loops (one engine per sweep worker, reused across trials and
+// grid points) run whole trials without allocating. The memo caches a
+// pure function, so keeping it needs no invalidation. A Reset run is
+// bit-identical to a fresh New+Init engine driven by the same stream.
+// Tolerance, quantization and cache settings carry over; callers that
+// vary them per run must re-Set them.
 func (e *Engine) Reset(n int64, nm *noise.Matrix, r *rng.Rand, counts []int64) error {
 	if n < 1 {
 		return fmt.Errorf("census: Reset with n=%d", n)
@@ -395,12 +397,11 @@ func (e *Engine) stage1Phase(rounds int) error {
 	if e.und == 0 {
 		return nil
 	}
-	adopt, stay := Stage1Law(e.lambda)
+	probs := e.probs[:e.k+1]
+	stay := stage1Law(e.lambda, probs[:e.k])
 	if stay == 1 {
 		return nil
 	}
-	probs := e.probs[:e.k+1]
-	copy(probs, adopt)
 	probs[e.k] = stay
 	trans := e.trans[:e.k+1]
 	dist.SampleMultinomial64(e.r, e.und, probs, trans)
@@ -441,7 +442,7 @@ func (e *Engine) stage2Phase(rounds, sampleSize int) error {
 	for _, l := range e.lambda {
 		lambdaTotal += l
 	}
-	pUp := dist.PoissonSurvival(lambdaTotal, int64(sampleSize))
+	pUp := e.upd.survival(lambdaTotal, int64(sampleSize))
 	if pUp == 0 {
 		return nil
 	}

@@ -29,6 +29,13 @@ import (
 // converges to exactly this. Stage 1 therefore contributes zero to
 // the census engine's Lemma-3 truncation budget.
 func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
+	adopt = make([]float64, len(lambda))
+	return adopt, stage1Law(lambda, adopt)
+}
+
+// stage1Law is Stage1Law into a caller-owned adopt of len(lambda):
+// it overwrites adopt and returns stay.
+func stage1Law(lambda, adopt []float64) (stay float64) {
 	total := 0.0
 	for j, l := range lambda {
 		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
@@ -36,16 +43,16 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 		}
 		total += l
 	}
-	adopt = make([]float64, len(lambda))
 	if total == 0 {
-		return adopt, 1
+		clear(adopt)
+		return 1
 	}
 	stay = math.Exp(-total)
 	hit := -math.Expm1(-total) // 1 − e^(−Λ) without cancellation
 	for j, l := range lambda {
 		adopt[j] = l / total * hit
 	}
-	return adopt, stay
+	return stay
 }
 
 // MajorityLaw returns r[j] = Pr(maj(Y) = j) for Y ~ Multinomial(ell,
@@ -955,4 +962,41 @@ func binomSaddle(lf []float64, n, x int, p, pc float64) float64 {
 	fy := fn - fx
 	lc := stirlerr(lf, n) - stirlerr(lf, x) - stirlerr(lf, n-x) - bd0(fx, lam) - bd0(fy, mu)
 	return math.Exp(lc) * math.Sqrt(fn/(2*math.Pi*fx*fy))
+}
+
+// survivalSlots sizes survivalMemo. A census run meets few distinct
+// Stage-2 update probabilities: once Stage 1 has reached every node,
+// each phase delivers 2ℓ messages per node and Λ comes out as the same
+// float64 phase after phase, so a worker sees about one (Λ, ℓ) per
+// distinct ℓ and ℓ′ of its points. The benchmark's workloads meet 5 to
+// 8 per run.
+const survivalSlots = 8
+
+// survivalMemo memoizes dist.PoissonSurvival(λ, ℓ), the Stage-2 update
+// probability Pr(Poisson(Λ) ≥ ℓ), over the last survivalSlots distinct
+// keys, replacing the oldest on a miss. The key is λ's exact bits and
+// ℓ, and the function is pure, so a hit returns the very value a call
+// would: the memo needs no invalidation and cannot change a result.
+// The zero value is empty; a slot with ell 0 is unused, which the
+// Stage-2 phases (ℓ ≥ 1) never ask for.
+type survivalMemo struct {
+	lambda [survivalSlots]uint64 // math.Float64bits(λ)
+	ell    [survivalSlots]int64
+	p      [survivalSlots]float64
+	next   int // slot the next miss overwrites
+}
+
+// survival returns dist.PoissonSurvival(lambda, ell) for ell ≥ 1.
+func (m *survivalMemo) survival(lambda float64, ell int64) float64 {
+	bits := math.Float64bits(lambda)
+	for i := range m.ell {
+		if m.ell[i] == ell && m.lambda[i] == bits {
+			return m.p[i]
+		}
+	}
+	p := dist.PoissonSurvival(lambda, ell)
+	i := m.next
+	m.lambda[i], m.ell[i], m.p[i] = bits, ell, p
+	m.next = (i + 1) % survivalSlots
+	return p
 }

@@ -472,6 +472,11 @@ func TestStage1LawEdgeCases(t *testing.T) {
 	if stay != 1 || adopt[0] != 0 || adopt[1] != 0 {
 		t.Fatalf("zero-rate law = (%v, %v), want all mass on stay", adopt, stay)
 	}
+	// The engine's in-place form overwrites a reused buffer, zeros too.
+	buf := []float64{0.5, 0.5}
+	if stay := stage1Law([]float64{0, 0}, buf); stay != 1 || buf[0] != 0 || buf[1] != 0 {
+		t.Fatalf("zero-rate law into a used buffer = (%v, %v), want all mass on stay", buf, stay)
+	}
 	// Probabilities must form a distribution for a busy channel.
 	adopt, stay = Stage1Law([]float64{3.5, 1.25, 0.25})
 	total := stay
@@ -480,6 +485,48 @@ func TestStage1LawEdgeCases(t *testing.T) {
 	}
 	if math.Abs(total-1) > 1e-12 {
 		t.Fatalf("law sums to %v", total)
+	}
+}
+
+// TestSurvivalMemoExactKey: the Stage-2 update-probability memo answers
+// dist.PoissonSurvival bit for bit through a key sequence with more
+// distinct keys than slots, so keys are evicted and derived again. Two
+// of its λ lie one ulp apart and one λ recurs at two ℓ, so a key that
+// rounds λ or ignores ℓ returns a neighbour's value.
+func TestSurvivalMemoExactKey(t *testing.T) {
+	lam := 33.0
+	up := math.Nextafter(lam, math.Inf(1))
+	if dist.PoissonSurvival(lam, 33) == dist.PoissonSurvival(up, 33) {
+		t.Fatal("λ one ulp apart share a survival; the sequence cannot tell their keys apart")
+	}
+	type key struct {
+		lambda float64
+		ell    int64
+	}
+	keys := []key{{lam, 33}, {up, 33}, {lam, 35}}
+	for ell := int64(37); len(keys) < survivalSlots+4; ell += 2 {
+		keys = append(keys, key{float64(2 * ell), ell})
+	}
+	var seq []key
+	seq = append(seq, keys...)
+	seq = append(seq, keys[:survivalSlots/2]...) // hits
+	for i := len(keys) - 1; i >= 0; i-- {
+		seq = append(seq, keys[i]) // some hits, some evicted
+	}
+	seq = append(seq, keys...)
+	var m survivalMemo
+	for i, k := range seq {
+		got, want := m.survival(k.lambda, k.ell), dist.PoissonSurvival(k.lambda, k.ell)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: survival(%v, %d) = %v, want %v", i, k.lambda, k.ell, got, want)
+		}
+	}
+	// A repeated key is served from its slot, not derived again.
+	var h survivalMemo
+	h.survival(lam, 33)
+	h.p[0] = -1
+	if got := h.survival(lam, 33); got != -1 {
+		t.Fatalf("repeated key returned %v, not its slot's value: the memo was not consulted", got)
 	}
 }
 

@@ -53,9 +53,10 @@ func RunCensus(n int64, nm *noise.Matrix, params Params, initial []int64,
 
 // CensusRunner executes census-engine protocol runs while reusing one
 // engine — its buffers, its law evaluator and its Stage-2 law cache —
-// across calls. This is the allocation-free path of the sweep hot
-// loop: a worker holds one runner for its whole lifetime and runs
-// every trial of every grid point through it. Not safe for concurrent
+// and the schedule of the last point across calls. This is the
+// allocation-free path of the sweep hot loop: a worker holds one
+// runner for its whole lifetime and runs every trial of every grid
+// point through it. Not safe for concurrent
 // use; each worker owns its runner. The zero value is ready; a shared
 // law cache (one per sweep, say) can be injected with NewCensusRunner.
 //
@@ -65,6 +66,13 @@ func RunCensus(n int64, nm *noise.Matrix, params Params, initial []int64,
 type CensusRunner struct {
 	eng   *census.Engine
 	cache *census.LawCache
+
+	// sched is NewSchedule(schedN, schedP) of the last run, so that a
+	// worker's trials at one point derive their schedule once. Run
+	// only reads it.
+	sched  Schedule
+	schedN int64
+	schedP Params
 
 	// Observability sinks, applied to the engine on creation and kept
 	// across Reset (SetObs). Write-only: attaching them cannot change
@@ -106,11 +114,16 @@ func (cr *CensusRunner) Run(n int64, nm *noise.Matrix, params Params, initial []
 	if correct < 0 || int(correct) >= nm.K() {
 		return CensusResult{}, fmt.Errorf("core: correct opinion %d out of range [0,%d)", correct, nm.K())
 	}
-	sched, err := NewSchedule(n, params)
-	if err != nil {
-		return CensusResult{}, err
+	if cr.sched.Stage1 == nil || n != cr.schedN || params != cr.schedP {
+		sched, err := NewSchedule(n, params)
+		if err != nil {
+			return CensusResult{}, err
+		}
+		cr.sched, cr.schedN, cr.schedP = sched, n, params
 	}
+	sched := cr.sched
 	var eng *census.Engine
+	var err error
 	if cr.eng == nil {
 		eng, err = census.New(n, nm, r)
 		if err != nil {

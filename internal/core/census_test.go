@@ -155,6 +155,94 @@ func TestCensusRunnerReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCensusRunnerScheduleReuse: a runner keeps the schedule of the
+// last (n, Params) it ran. Alternating between two points that differ
+// only in n, then between two that differ only in CPrime, every run
+// must still equal a fresh RunCensus on the same stream bit for bit,
+// so the kept schedule is keyed by n and by every Params field.
+func TestCensusRunnerScheduleReuse(t *testing.T) {
+	nm, err := noise.Uniform(3, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider := DefaultParams(0.25)
+	wider.CPrime = 3
+	counts := []int64{60_000, 50_000, 40_000}
+	for _, pts := range [][2]struct {
+		n      int64
+		params Params
+	}{
+		{{200_000, DefaultParams(0.25)}, {1_000_000, DefaultParams(0.25)}},
+		{{200_000, DefaultParams(0.25)}, {200_000, wider}},
+	} {
+		a, err := NewSchedule(pts[0].n, pts[0].params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewSchedule(pts[1].n, pts[1].params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(a, b) {
+			t.Fatalf("points %+v share a schedule; a stale one would go unseen", pts)
+		}
+		runner := new(CensusRunner)
+		for i := 0; i < 5; i++ {
+			p := pts[i%2]
+			seed := uint64(20 + i)
+			want, err := RunCensus(p.n, nm, p.params, counts, 0, true, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := runner.Run(p.n, nm, p.params, counts, 0, true, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("run %d at n=%d CPrime=%v: reused runner diverged from fresh run:\n%+v\nvs\n%+v",
+					i, p.n, p.params.CPrime, got, want)
+			}
+		}
+	}
+}
+
+// TestCensusRunnerAllocs: a warmed runner's trial allocates once, for
+// the result's Final census. The schedule is kept across trials at a
+// point and the Stage-1 law is written into the engine's buffer, as
+// the CensusRunner and Engine.Reset contracts promise the sweep hot
+// loop. Both populations start mostly undecided, so every Stage-1
+// phase evaluates the law.
+func TestCensusRunnerAllocs(t *testing.T) {
+	nm2, err := noise.FHKBinary(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nm5, err := noise.Uniform(5, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		nm     *noise.Matrix
+		counts []int64
+	}{
+		{nm2, []int64{600, 400}},
+		{nm5, []int64{300, 200, 200, 150, 150}},
+	} {
+		params := DefaultParams(0.25)
+		runner := new(CensusRunner)
+		r := rng.New(9)
+		run := func() {
+			if _, err := runner.Run(1_000_000, c.nm, params, c.counts, 0, false, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if n := testing.AllocsPerRun(20, run); n > 1 {
+			t.Errorf("k=%d: warmed CensusRunner.Run allocates %v times per trial, want ≤ 1", c.nm.K(), n)
+		}
+	}
+}
+
 // TestParamsCensusKnobValidation: the new census knobs share the
 // Validate surface of every other protocol constant.
 func TestParamsCensusKnobValidation(t *testing.T) {

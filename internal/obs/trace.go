@@ -45,16 +45,13 @@ func (t *Tracer) Event(ev string, fields ...Field) {
 	if t == nil {
 		return
 	}
-	t.emit(ev, 0, false, fields)
+	t.emit(ev, fields)
 }
 
-func (t *Tracer) emit(ev string, durNS int64, withDur bool, fields []Field) {
-	m := make(map[string]any, len(fields)+3)
+func (t *Tracer) emit(ev string, fields []Field) {
+	m := make(map[string]any, len(fields)+2)
 	m["ev"] = ev
 	m["ts_ns"] = Now(t.clock)
-	if withDur {
-		m["dur_ns"] = durNS
-	}
 	for _, f := range fields {
 		m[f.Key] = f.Val
 	}
