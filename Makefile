@@ -69,13 +69,16 @@ race:
 # every entry it keeps must carry a CRC that verifies. Go's native
 # fuzzer needs no download. A failing input is written under the
 # package's testdata/fuzz/<target>/; rename it to say what it covers
-# and commit it, so plain `go test` replays it.
+# and commit it, so plain `go test` replays it. -fuzzminimizetime
+# bounds the minimizing of each new input to 100 executions: under
+# Go's default of 60 s a worker stops fuzzing while it minimizes, and
+# FuzzCheckpointJournal spent most of a 20-s run that way.
 FUZZTIME ?= 30s
 FUZZ_TARGETS := internal/census:FuzzMajorityLaw internal/sweep:FuzzCheckpointJournal
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 	    echo "fuzz $${t#*:} ($(FUZZTIME))"; \
-	    $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*}; \
+	    $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./$${t%%:*}; \
 	done
 
 # A tiny 3-point grid through the cmd/sweep flag surface under the

@@ -174,7 +174,7 @@ func printResilienceSummary(out io.Writer, salvaged int, quarantined []int) {
 		fmt.Fprintf(out, "checkpoint: salvaged journal dropped %d damaged point(s), recomputed\n", salvaged)
 	}
 	if len(quarantined) > 0 {
-		fmt.Fprintf(out, "quarantined points %v: a trial panicked (the checkpoint records which); re-run with the same -checkpoint to recompute them\n", quarantined)
+		fmt.Fprintf(out, "quarantined points %v: a trial panicked (the checkpoint records which), and this build replays the panic on every run: fix the bug, then resume with the same -checkpoint to recompute them\n", quarantined)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -212,4 +213,12 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+func TestNilSleeperNeverSleeps(t *testing.T) {
+	start := time.Now()
+	Sleep(nil, time.Hour) // a real sleeper would block for the hour
+	if time.Since(start) > time.Second {
+		t.Fatal("a nil Sleeper must not sleep")
+	}
 }

@@ -177,9 +177,9 @@ func (r Runner) RunBisect(b Bisect) (*BisectResult, error) {
 				r.observePoint(pr, t0, true)
 				// Persist the quarantine record for accounting, then stop:
 				// the adaptive search cannot continue past a failed
-				// evaluation — re-run to retry it.
+				// evaluation, and a re-run of this build panics the same way.
 				_ = r.putCheckpoint(ck, idx, pr)
-				return BisectEval{}, fmt.Errorf("bisect eval %d (ε=%v) quarantined after trial %d: %s; the adaptive search cannot continue past a failed evaluation — re-run to retry it",
+				return BisectEval{}, fmt.Errorf("bisect eval %d (ε=%v) quarantined after trial %d: %s; the adaptive search cannot continue past a failed evaluation, and this build replays the panic on every run: fix the bug, then resume with the same -checkpoint",
 					idx, eps, pr.Error.Trial, pr.Error.Msg)
 			}
 			if err := r.putCheckpoint(ck, idx, pr); err != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -143,7 +145,7 @@ func TestChaosShardedGridMergeByteIdentical(t *testing.T) {
 // retried, and close compacts the torn fragments away, leaving the
 // fault-free journal byte for byte.
 func TestChaosTornAppendCompacts(t *testing.T) {
-	const keys, torn = 6, 3 // torn < resilience.DefaultPolicy().Attempts
+	const keys, torn = 6, 3 // torn < retryAttempts
 	dir := t.TempDir()
 	ref := openTestCheckpoint(t, filepath.Join(dir, "ref.json"))
 	path := filepath.Join(dir, "torn.json")
@@ -174,6 +176,85 @@ func TestChaosTornAppendCompacts(t *testing.T) {
 	}
 	if got := m.retries.Value(); got != torn {
 		t.Fatalf("sweep_retries_total = %d, want %d (one per torn append)", got, torn)
+	}
+}
+
+// sleeperFunc is a Runner.Sleeper double that hands each wait to a
+// function instead of sleeping.
+type sleeperFunc func(time.Duration)
+
+func (f sleeperFunc) Sleep(d time.Duration) { f(d) }
+
+// TestChaosBackoffJitter: the waits before the retries of a torn
+// append lie in [retryBase, retryCap], repeat exactly for the same seed
+// and differ for another, since the jitter is drawn from a stream
+// salted off the run seed.
+func TestChaosBackoffJitter(t *testing.T) {
+	dir := t.TempDir()
+	waits := func(name string, seed uint64) []time.Duration {
+		ck := openTestCheckpoint(t, filepath.Join(dir, name))
+		defer ck.abandon()
+		ck.f = &tornWriter{WriteCloser: ck.f, fails: retryAttempts - 1}
+		var got []time.Duration
+		r := Runner{Seed: seed, Sleeper: sleeperFunc(func(d time.Duration) { got = append(got, d) })}
+		if err := r.putCheckpoint(ck, 0, testPointResult(0)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return got
+	}
+	a, b, c := waits("a.json", 7), waits("b.json", 7), waits("c.json", 8)
+	if len(a) != retryAttempts-1 {
+		t.Fatalf("%d torn appends slept %d times: %v", retryAttempts-1, len(a), a)
+	}
+	for _, d := range slices.Concat(a, c) {
+		if d < retryBase || d > retryCap {
+			t.Fatalf("wait %v outside [%v, %v]", d, retryBase, retryCap)
+		}
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("seed 7 waited %v, then %v", a, b)
+	}
+	if slices.Equal(a, c) {
+		t.Fatalf("seeds 7 and 8 waited alike: %v", a)
+	}
+}
+
+// TestChaosFailedCreateLeavesNoJournal: a journal create whose header
+// write fails (here the disk is full: path.tmp leads to /dev/full)
+// leaves no file at path, so the retried open creates the journal and
+// the run ends with the fault-free bytes. A header written in place
+// would leave an empty file that the retry rejects as unreadable.
+func TestChaosFailedCreateLeavesNoJournal(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full:", err)
+	}
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.json")
+	if _, err := (Runner{Seed: 7, Workers: 2, Checkpoint: refPath}).RunGrid(testGrid()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ck.json")
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics(nil)
+	fix := sleeperFunc(func(time.Duration) {
+		if _, err := os.Lstat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("after the failed create, %s: %v; want no file", path, err)
+		}
+		if err := os.Remove(path + ".tmp"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Error(err)
+		}
+	})
+	_, err := Runner{Seed: 7, Workers: 2, Checkpoint: path, Sleeper: fix, Obs: Instrumentation{Metrics: m}}.RunGrid(testGrid())
+	if err != nil {
+		t.Fatalf("retried create: %v", err)
+	}
+	if got := m.retries.Value(); got != 1 {
+		t.Fatalf("sweep_retries_total = %d, want 1 (the failed create)", got)
+	}
+	if !bytes.Equal(mustRead(t, path), mustRead(t, refPath)) {
+		t.Fatal("journal after a failed create differs from the fault-free bytes")
 	}
 }
 
@@ -327,6 +408,29 @@ func TestChaosBreakerAbortsSystemicFailure(t *testing.T) {
 	}
 }
 
+// TestChaosBreakerStreakResets: a good point resets the quarantine
+// streak, so streaks of breakAfter−1, each ended by a good point, let
+// the run finish although more than breakAfter points are quarantined
+// in all.
+func TestChaosBreakerStreakResets(t *testing.T) {
+	g := testGrid()
+	g.Ns = []int64{3000, 4000}
+	good := func(p int) bool { return p%breakAfter == breakAfter-1 }
+	res, err := Runner{Seed: 7, Workers: 2, fault: panicAt(func(p, _ int) bool { return !good(p) })}.RunGrid(g)
+	if err != nil {
+		t.Fatalf("streaks shorter than breakAfter tripped the breaker: %v", err)
+	}
+	var want []int
+	for _, pr := range res.Points {
+		if !good(pr.Point.Index) {
+			want = append(want, pr.Point.Index)
+		}
+	}
+	if len(res.Points) != 2*breakAfter || !reflect.DeepEqual(res.Quarantined, want) {
+		t.Fatalf("%d points, quarantined %v; want %d points, quarantined %v", len(res.Points), res.Quarantined, 2*breakAfter, want)
+	}
+}
+
 // TestChaosBisectQuarantineAborts: bisection cannot step past a failed
 // evaluation — a quarantined eval is a loud abort, with the record
 // persisted for the re-run. The error carries no "sweep:" of its own:
@@ -396,12 +500,16 @@ func TestChaosNoGoroutineOutlivesRun(t *testing.T) {
 			return err
 		}, "point 2 trial 0: chaos: bad knob"},
 		{"failing journal", func() error {
+			m := NewMetrics(nil)
 			_, err := Runner{
-				Seed: 7, Workers: 4, Checkpoint: filepath.Join(dir, "gone.json"),
+				Seed: 7, Workers: 4, Checkpoint: filepath.Join(dir, "gone.json"), Obs: Instrumentation{Metrics: m},
 				journal: func(w io.WriteCloser) io.WriteCloser { return failingWriter{w} },
 			}.RunGrid(testGrid())
+			if got := m.retries.Value(); got != retryAttempts-1 {
+				t.Errorf("failing journal: sweep_retries_total = %d, want %d", got, retryAttempts-1)
+			}
 			return err
-		}, "point 0 could not be persisted"},
+		}, "point 0 could not be persisted: 4 attempts exhausted"},
 		{"bisect quarantine", func() error {
 			_, err := Runner{Seed: 7, Workers: 4, fault: panicAt(func(p, t int) bool { return p == 1 })}.RunBisect(testBisect(40))
 			return err

@@ -11,8 +11,9 @@ import (
 	"os"
 	"sort"
 	"syscall"
+	"time"
 
-	"github.com/gossipkit/noisyrumor/internal/resilience"
+	"github.com/gossipkit/noisyrumor/internal/obs"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
@@ -168,16 +169,25 @@ func sniffSchema(data []byte) string {
 	return ""
 }
 
-// classifyOpen classifies a checkpoint open, read or create error:
-// Transient, unless no retry can fix it — a missing directory, a
+// transientError marks a checkpoint I/O error that a retry may get
+// past (an I/O blip, a torn append): retry runs the operation again on
+// it and on no other error, so a spec mistake or a bad path aborts at
+// once instead of being retried into the ground. The message and the
+// Unwrap chain are the marked error's.
+type transientError struct{ error }
+
+func (e transientError) Unwrap() error { return e.error }
+
+// classifyOpen marks a checkpoint open, read or create error
+// transient, unless no retry can fix it — a missing directory, a
 // denied permission, a path that names a directory or runs through a
-// file — which stays unclassified so the run aborts at once.
+// file — which stays unmarked so the run aborts at once.
 func classifyOpen(err error) error {
 	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrPermission) ||
 		errors.Is(err, syscall.EISDIR) || errors.Is(err, syscall.ENOTDIR) {
 		return err
 	}
-	return resilience.Transient(err)
+	return transientError{err}
 }
 
 // openCheckpointFile loads or initializes the journal at path for a
@@ -212,13 +222,15 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 	}
 	cf, err := readCheckpointFile(path)
 	if os.IsNotExist(err) {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		// The header lands through a rename, so a create that fails
+		// leaves no file at path, never an empty or torn header that
+		// the retry and every later open would reject.
+		if err := writeFileAtomic(path, ck.headerLine()); err != nil {
+			return nil, err
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, classifyOpen(fmt.Errorf("create checkpoint: %w", err))
-		}
-		if _, err := f.Write(ck.headerLine()); err != nil {
-			_ = f.Close()
-			return nil, resilience.Transient(fmt.Errorf("write checkpoint header: %w", err))
 		}
 		ck.f = f
 		return ck, nil
@@ -263,18 +275,55 @@ const (
 	putJitterSalt  = 0x505554   // "PUT"
 )
 
+// A checkpoint operation runs at most retryAttempts times, the first
+// included. The wait before each retry is drawn uniformly from
+// [retryBase, 3·the previous wait) and capped at retryCap
+// (decorrelated jitter).
+const (
+	retryAttempts = 4
+	retryBase     = 5 * time.Millisecond
+	retryCap      = 250 * time.Millisecond
+)
+
+// retry runs op until it succeeds, fails with an error not marked
+// transient, or has run retryAttempts times. The waits draw from
+// rng.ForkSeed(Seed, salt), so they are a pure function of the seed,
+// and pass through Runner.Sleeper (nil computes them without
+// waiting); retries touch only the journal, never a result stream.
+// Each retry counts in sweep_retries_total and its wait in
+// resilience_backoff_seconds.
+func (r Runner) retry(salt uint64, op func() error) error {
+	jitter := rng.New(rng.ForkSeed(r.Seed, salt))
+	wait := retryBase
+	for attempt := 1; ; attempt++ {
+		err := op()
+		if err == nil || !errors.As(err, new(transientError)) {
+			return err
+		}
+		if attempt == retryAttempts {
+			return fmt.Errorf("%d attempts exhausted: %w", retryAttempts, err)
+		}
+		//nrlint:allow overflow -- wait ≤ retryCap, so 3·wait ≪ 2⁶³ ns ≈ 292 years
+		hi := 3 * wait
+		//nrlint:allow overflow -- Float64 < 1 keeps the sum below hi ≤ 3·retryCap
+		wait = min(retryBase+time.Duration(jitter.Float64()*float64(hi-retryBase)), retryCap)
+		if m := r.Obs.Metrics; m != nil {
+			m.retries.Inc()
+			m.backoff.Observe(wait.Seconds())
+		}
+		obs.Sleep(r.Sleeper, wait)
+	}
+}
+
 // openCheckpoint opens the Runner's journal (if configured) for one
-// sweep mode under the retry policy — a transiently failing open (an
-// I/O blip) is retried with deterministic jitter — and records any
-// salvage degradation.
+// sweep mode, retrying a transiently failing open (an I/O blip), and
+// records any salvage degradation.
 func (r Runner) openCheckpoint(mode string, spec any) (*checkpoint, error) {
 	if r.Checkpoint == "" {
 		return nil, nil
 	}
-	pol := r.retryPolicy()
-	jr := rng.New(rng.ForkSeed(r.Seed, openJitterSalt))
 	var ck *checkpoint
-	err := pol.Do(jr, func(int) error {
+	err := r.retry(openJitterSalt, func() error {
 		var err error
 		ck, err = openCheckpointFile(r.Checkpoint, mode, r.Seed, r.z(), r.Shard, spec)
 		return err
@@ -341,13 +390,17 @@ func writeEntryLine(buf *bytes.Buffer, ent checkpointEntry) {
 	buf.WriteByte('\n')
 }
 
+// writeFileAtomic replaces path with data through path.tmp and a
+// rename, so path holds the old bytes or the new ones, never a part.
+// Writing path.tmp creates a file, so its error is classified as a
+// create's (classifyOpen).
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return resilience.Transient(fmt.Errorf("write checkpoint: %w", err))
+		return classifyOpen(fmt.Errorf("write checkpoint: %w", err))
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return resilience.Transient(fmt.Errorf("commit checkpoint: %w", err))
+		return transientError{fmt.Errorf("commit checkpoint: %w", err)}
 	}
 	return nil
 }
@@ -374,7 +427,7 @@ func (c *checkpoint) get(key int) (PointResult, bool) {
 // write per point, O(1) against the sweep size. Keys outside the
 // checkpoint's shard are silently skipped (bisect computes every
 // evaluation but each shard has custody only of its residues). A
-// failed append is Transient — the caller retries it — and an
+// failed append is transient — the caller retries it — and an
 // overwrite or out-of-order append just costs a compaction at close.
 func (c *checkpoint) put(key int, res PointResult) error {
 	if c == nil {
@@ -401,7 +454,7 @@ func (c *checkpoint) put(key int, res PointResult) error {
 		// The in-memory entry stays; the retry appends a fresh line and
 		// the possibly-torn one is compacted or salvaged away.
 		c.ordered = false
-		return resilience.Transient(fmt.Errorf("append checkpoint %s: %w", c.path, err))
+		return transientError{fmt.Errorf("append checkpoint %s: %w", c.path, err)}
 	}
 	return nil
 }
@@ -425,7 +478,7 @@ func (c *checkpoint) close() error {
 	err := c.f.Close()
 	c.f = nil
 	if err != nil {
-		return resilience.Transient(fmt.Errorf("close checkpoint %s: %w", c.path, err))
+		return fmt.Errorf("close checkpoint %s: %w", c.path, err)
 	}
 	if c.ordered {
 		return nil

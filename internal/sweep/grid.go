@@ -57,7 +57,7 @@ type GridResult struct {
 	QuantBudget float64 `json:"quant_budget,omitempty"`
 	// Shard is the slice this run evaluated (nil = the whole grid).
 	Shard *Shard `json:"shard,omitempty"`
-	// Quarantined lists point indices skipped after classified failures
+	// Quarantined lists point indices skipped because a trial panicked
 	// (their PointResult carries the record); Salvaged counts damaged
 	// checkpoint lines dropped and recomputed on resume.
 	Quarantined []int `json:"quarantined,omitempty"`

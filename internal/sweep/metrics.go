@@ -6,7 +6,6 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/census"
 	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
 // Metrics is the sweep layer's instrument bundle. Like every bundle in
@@ -150,9 +149,7 @@ func (r Runner) putCheckpoint(ck *checkpoint, key int, pr PointResult) error {
 		return nil
 	}
 	t0 := obs.Now(r.Obs.Clock)
-	pol := r.retryPolicy()
-	jr := rng.New(rng.ForkSeed(r.Seed, putJitterSalt+uint64(key)))
-	if err := pol.Do(jr, func(int) error { return ck.put(key, pr) }); err != nil {
+	if err := r.retry(putJitterSalt+uint64(key), func() error { return ck.put(key, pr) }); err != nil {
 		return fmt.Errorf("point %d could not be persisted: %w", key, err)
 	}
 	if m := r.Obs.Metrics; m != nil {

@@ -51,7 +51,7 @@ type ScalingResult struct {
 	QuantBudget float64 `json:"quant_budget,omitempty"`
 	// Shard is the slice this run evaluated (nil = every n).
 	Shard *Shard `json:"shard,omitempty"`
-	// Quarantined lists point indices skipped after classified failures
+	// Quarantined lists point indices skipped because a trial panicked
 	// (excluded from the fit); Salvaged counts damaged checkpoint lines
 	// dropped and recomputed on resume.
 	Quarantined []int `json:"quarantined,omitempty"`

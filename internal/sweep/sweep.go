@@ -50,6 +50,11 @@
 // contract, trial slots keyed by index), so the determinism guarantees
 // above survive unchanged.
 //
+// Failure handling (DESIGN.md §2 "Failure model"): checkpoint I/O
+// that fails transiently is retried with seeded backoff (retry), a
+// trial that panics quarantines its point, and breakAfter consecutive
+// quarantines abort the run. None of it reaches a result.
+//
 // The package declares the nrlint determinism contract: results are
 // a pure function of (spec, seed) at any worker count, enforced by
 // `make lint` (see DESIGN.md "Statically enforced contracts").
@@ -58,13 +63,13 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/gossipkit/noisyrumor/internal/census"
 	"github.com/gossipkit/noisyrumor/internal/checked"
@@ -72,7 +77,6 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/resilience"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/stats"
 )
@@ -189,11 +193,10 @@ type Runner struct {
 	// checkpoint identity, and Merge recombines shard checkpoints into
 	// the byte-identical single-host journal.
 	Shard Shard
-	// Sleeper waits out the backoff between checkpoint I/O retries
-	// (resilience.DefaultPolicy). nil computes the delays without
-	// waiting — the test configuration; harnesses inject
-	// obs.WallSleeper{}. Backoff jitter is drawn from forks of Seed, so
-	// retried runs stay bit-identical.
+	// Sleeper waits out the backoff between checkpoint I/O retries. nil
+	// computes the delays without waiting — the test configuration;
+	// harnesses inject obs.WallSleeper{}. Backoff jitter is drawn from
+	// forks of Seed, so retried runs stay bit-identical.
 	Sleeper obs.Sleeper
 
 	// fault, when non-nil, runs before each trial. Tests make it panic
@@ -208,20 +211,6 @@ type Runner struct {
 // breaker: a systemic fault (every point panicking) aborts loudly
 // instead of quarantining the whole sweep.
 const breakAfter = 8
-
-// retryPolicy is the checkpoint I/O retry policy: DefaultPolicy with
-// the runner's sleeper and the retry/backoff metrics on OnBackoff.
-func (r Runner) retryPolicy() resilience.Policy {
-	p := resilience.DefaultPolicy()
-	p.Sleeper = r.Sleeper
-	if m := r.Obs.Metrics; m != nil {
-		p.OnBackoff = func(_ int, delay time.Duration) {
-			m.retries.Inc()
-			m.backoff.Observe(delay.Seconds())
-		}
-	}
-	return p
-}
 
 func (r Runner) workers() int {
 	if r.Workers > 0 {
@@ -533,13 +522,14 @@ type trialOut struct {
 // resilientTrial runs trial t of the indexed point (inputs in) on its
 // stream rng.New(ForkSeed(pointSeed, t)) with panic containment: a
 // census trial on cr, the executing worker's reusable runner, a
-// per-node cross-check with the model metric bundle bound. A panic is
-// Permanent and quarantines the point at once: a retry would replay
-// the same stream on a reset engine and panic the same way.
+// per-node cross-check with the model metric bundle bound. A panic
+// becomes the point's quarantine record, a *PointError, at once: a
+// retry would replay the same stream on a reset engine and panic the
+// same way.
 func (r Runner) resilientTrial(point int, in core.Trial, t int, pointSeed uint64, cr *core.CensusRunner) (out trialOut) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			out = trialOut{err: resilience.Permanent(fmt.Errorf("point %d trial %d panicked: %v", point, t, rec))}
+			out = trialOut{err: &PointError{Trial: t, Permanent: true, Msg: fmt.Sprintf("point %d trial %d panicked: %v", point, t, rec)}}
 		}
 	}()
 	if r.fault != nil {
@@ -571,17 +561,17 @@ type inflight struct {
 // resolves its inputs and submits its trials, and up to
 // windowPerWorker points per worker are admitted ahead of the oldest
 // uncommitted one. Committing waits for the point's trials, then
-// aggregates, appends to the journal, records metrics and feeds the
-// breaker, in that order, so journal bytes, quarantine records, breaker
-// trips and the first reported error are those of a point-by-point
-// run. A breaker trip reads where(p) as its prefix. Any error returns
-// at once: stop skips the trials still queued and waits for every
-// worker, so no goroutine outlives the call.
+// aggregates, appends to the journal, records metrics and counts the
+// quarantine streak, in that order, so journal bytes, quarantine
+// records, breaker trips and the first reported error are those of a
+// point-by-point run. A breaker trip reads where(p) as its prefix.
+// Any error returns at once: stop skips the trials still queued and
+// waits for every worker, so no goroutine outlives the call.
 func (r Runner) runPoints(pts []Point, ck *checkpoint, where func(Point) string, commit func(Point, PointResult)) error {
 	pool := r.startPool()
 	defer pool.stop()
 	window := windowPerWorker * pool.workers
-	breaker := resilience.NewBreaker(breakAfter)
+	streak, quarantined := 0, 0 // quarantined points: consecutive, and in all
 	queue := make([]inflight, 0, window)
 	next := 0
 	for {
@@ -611,9 +601,14 @@ func (r Runner) runPoints(pts []Point, ck *checkpoint, where func(Point) string,
 			startNS = head.b.startNS
 		}
 		r.observePoint(pr, startNS, fresh)
-		breaker.Record(pr.Error != nil)
-		if err := breaker.Err(); err != nil {
-			return fmt.Errorf("%s: %w", where(head.p), err)
+		if pr.Error == nil {
+			streak = 0
+		} else {
+			streak++
+			quarantined++
+			if streak == breakAfter {
+				return fmt.Errorf("%s: breaker open after %d consecutive failures (%d total)", where(head.p), streak, quarantined)
+			}
 		}
 		commit(head.p, pr)
 	}
@@ -677,22 +672,19 @@ func (r Runner) evalPointAdaptive(pool *trialPool, p Point, batchSize int) (Poin
 	return res, startNS, err
 }
 
-// aggregate folds trial outcomes into a PointResult. A trial carrying
-// a classified error (a contained panic) quarantines the whole point:
-// the statistics are zeroed, Error records the failure, and the
-// caller's run continues without it. Unclassified errors are
-// spec/config mistakes and abort the run as always.
+// aggregate folds trial outcomes into a PointResult. A trial that
+// panicked (its error is the *PointError quarantine record)
+// quarantines the whole point: the statistics are zeroed, Error holds
+// the record, and the caller's run continues without it. Any other
+// trial error is a spec/config mistake and aborts the run as always.
 func (r Runner) aggregate(p Point, outs []trialOut) (PointResult, error) {
 	res := PointResult{Point: p, Trials: len(outs)}
 	sumRounds := 0.0
 	for i, o := range outs {
 		if o.err != nil {
-			if resilience.Classified(o.err) {
-				return PointResult{Point: p, Error: &PointError{
-					Trial:     i,
-					Permanent: resilience.IsPermanent(o.err),
-					Msg:       o.err.Error(),
-				}}, nil
+			var q *PointError
+			if errors.As(o.err, &q) {
+				return PointResult{Point: p, Error: q}, nil
 			}
 			return PointResult{}, fmt.Errorf("point %d trial %d: %w", p.Index, i, o.err)
 		}
