@@ -219,6 +219,48 @@ func TestChaosBackoffJitter(t *testing.T) {
 	}
 }
 
+// countingFailWriter is a journal append handle whose every write
+// fails, counting the writes it refused.
+type countingFailWriter struct {
+	io.WriteCloser
+	writes int
+}
+
+func (w *countingFailWriter) Write([]byte) (int, error) {
+	w.writes++
+	return 0, errors.New("chaos: still flaky")
+}
+
+// TestChaosRetryBudgetExhausts: an append that fails on every attempt
+// runs exactly retryAttempts times, then gives up with an error that
+// reports the attempt count, keeps the transient mark and the cause in
+// its chain, and follows retryAttempts−1 counted waits.
+func TestChaosRetryBudgetExhausts(t *testing.T) {
+	ck := openTestCheckpoint(t, filepath.Join(t.TempDir(), "flaky.json"))
+	defer ck.abandon()
+	w := &countingFailWriter{WriteCloser: ck.f}
+	ck.f = w
+	m := NewMetrics(nil)
+	sleeps := 0
+	r := Runner{Seed: 7, Sleeper: sleeperFunc(func(time.Duration) { sleeps++ }), Obs: Instrumentation{Metrics: m}}
+	err := r.putCheckpoint(ck, 0, testPointResult(0))
+	if w.writes != retryAttempts {
+		t.Fatalf("%d append attempts, want %d", w.writes, retryAttempts)
+	}
+	if err == nil || !errors.As(err, new(transientError)) {
+		t.Fatalf("exhaustion error %v must keep its transient mark", err)
+	}
+	if !strings.Contains(err.Error(), "4 attempts exhausted") || !strings.Contains(err.Error(), "chaos: still flaky") {
+		t.Errorf("exhaustion error %q should report the attempt count and the cause", err)
+	}
+	if sleeps != retryAttempts-1 {
+		t.Errorf("slept %d times, want %d", sleeps, retryAttempts-1)
+	}
+	if got := m.retries.Value(); got != retryAttempts-1 {
+		t.Errorf("sweep_retries_total = %d, want %d", got, retryAttempts-1)
+	}
+}
+
 // TestChaosFailedCreateLeavesNoJournal: a journal create whose header
 // write fails (here the disk is full: path.tmp leads to /dev/full)
 // leaves no file at path, so the retried open creates the journal and
