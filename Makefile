@@ -117,13 +117,14 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/flock
 
-# bench-test runs the unit and smoke tests of the repository benchmark
-# (bench/, its own Go module built against this checkout). The root
-# `go test ./...` never reaches a nested module, so without this target
-# an internal API change could break the benchmark unseen. Offline,
-# about 8 s; it writes only to temporary directories.
+# bench-test vets and runs the unit and smoke tests of the repository
+# benchmark (bench/, its own Go module built against this checkout).
+# The root `go build ./...`, `go vet ./...` and `go test ./...` never
+# reach a nested module, so without this target an internal API change
+# could break the benchmark unseen. Offline, about 8 s; it writes only
+# to temporary directories.
 bench-test:
-	cd bench && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench-quick:
 	$(GO) test -run '^$$' -bench $(QUICK_BENCH) -benchtime 1x ./...
@@ -161,36 +162,50 @@ profile:
 	    -o profiles/sweep.test ./internal/sweep
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
 
-# layout prints where the Stage-2 law's hot functions land in a fresh
-# cmd/sweep build: address, size in bytes and address mod 64. Moving
-# them by 32 bytes, with no change to their code, has cost
-# grid-k35-exact 17 % (DESIGN.md §4). cmd/sweep links rng, dist, lp,
-# noise and obs ahead of census, so an edit to any function of those
-# packages that cmd/sweep links can move them as well as an edit to
-# census.go, cert.go or law.go. Such a change runs `make layout-diff`
-# against its parent and pairs grid-k35-exact when an offset moves.
-LAYOUT_FUNCS := evalTernary|ternaryWindow|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle
+# layout prints where the trial's hot functions land in a fresh
+# cmd/sweep build: address, size in bytes, address mod 64 and name.
+# LAYOUT_FUNCS holds the Stage-2 law's functions and the samplers that
+# draw each phase (dist's binomial and multinomial draws, noise's
+# count split). Moving the law's functions by 32 bytes, with no change
+# to their code, has cost grid-k35-exact 17 % (DESIGN.md §4); the
+# samplers carry grid-k2. cmd/sweep links rng, dist, lp, noise and obs
+# ahead of census, so an edit to any function of those packages that
+# cmd/sweep links can move them as well as an edit to census.go,
+# cert.go or law.go. Such a change runs `make layout-diff` against its
+# parent and pairs grid-k35-exact (a law function moved) or grid-k2 (a
+# sampler moved) when an offset moves.
+LAYOUT_FUNCS := census\.(\(\*[A-Za-z]+\)\.)?(evalTernary|ternaryWindow|evalPoisson|setRow|convolve|tieSum|binomPMF|poissonPMF|evalBinary|binomSaddle)|dist\.(SampleMultinomial64|SampleBinomial64|binomialBTRS|binomialBINV)|noise\.\(\*Matrix\)\.SplitCounts64
+
+# layout_of prints the LAYOUT_FUNCS lines of the cmd/sweep binary $(1).
+define layout_of
+$(GO) tool nm -size -sort address $(1) | \
+	awk 'function hex(s,  i, v) { v = 0; for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return v } \
+	     $$4 ~ /internal\/($(LAYOUT_FUNCS))$$/ { \
+	       name = $$4; sub(/.*internal\//, "", name); \
+	       printf "%s %6d %2d %s\n", $$1, $$2, hex(substr($$1, length($$1) - 1)) % 64, name }'
+endef
+
 layout:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/sweep" ./cmd/sweep && \
-	$(GO) tool nm -size -sort address "$$dir/sweep" | \
-	awk 'function hex(s,  i, v) { v = 0; for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return v } \
-	     $$4 ~ /internal\/census\.(\(\*[A-Za-z]+\)\.)?($(LAYOUT_FUNCS))$$/ { \
-	       name = $$4; sub(/.*internal\/census\./, "", name); \
-	       printf "%s %6d %2d %s\n", $$1, $$2, hex(substr($$1, length($$1) - 1)) % 64, name }'
+	$(call layout_of,"$$dir/sweep")
 
 # layout-diff extracts LAYOUT_BASE (default HEAD) with git archive into
-# a temporary directory, runs `make layout` there and in the working
-# tree, prints each LAYOUT_FUNCS function whose address mod 64 differs
-# (or that only one side has) and exits 1 if any does. It runs offline.
-# It is not a CI step: a deliberate move is settled by paired
-# grid-k35-* runs, not by this diff.
+# a temporary directory, builds cmd/sweep there and in the working
+# tree, filters both builds with the working tree's LAYOUT_FUNCS (so a
+# change to the watched set still diffs against its parent), prints
+# each function whose address mod 64 differs (or that only one side
+# has) and exits 1 if any does. It runs offline. It is not a CI step:
+# a deliberate move is settled by paired benchmark runs, not by this
+# diff.
 LAYOUT_BASE ?= HEAD
 layout-diff:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/base" && \
 	git archive "$(LAYOUT_BASE)" | tar -x -C "$$dir/base" && \
-	$(MAKE) -s --no-print-directory -C "$$dir/base" layout > "$$dir/base.txt" && \
-	$(MAKE) -s --no-print-directory layout > "$$dir/work.txt" && \
+	(cd "$$dir/base" && $(GO) build -o "$$dir/base.bin" ./cmd/sweep) && \
+	$(GO) build -o "$$dir/work.bin" ./cmd/sweep && \
+	$(call layout_of,"$$dir/base.bin") > "$$dir/base.txt" && \
+	$(call layout_of,"$$dir/work.bin") > "$$dir/work.txt" && \
 	awk -v base="$(LAYOUT_BASE)" 'NR == FNR { was[$$4] = $$3; next } \
 	     { now[$$4] = $$3; if (!($$4 in was)) { print $$4 ": only in the working tree"; moved++ } \
 	       else if (was[$$4] != $$3) { printf "%s: mod 64 %d -> %d\n", $$4, was[$$4], $$3; moved++ } } \

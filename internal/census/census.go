@@ -20,7 +20,7 @@
 // The adoption distributions decompose per stage:
 //
 //   - Stage 1 (u.a.r.-received adoption): only undecided nodes update;
-//     the adoption law has the exact closed form of Stage1Law, so the
+//     the adoption law has the exact closed form of stage1Law, so the
 //     stage-1 census transition is an exact sample of process P's
 //     census law.
 //   - Stage 2 (ℓ-subsample majority): a node updates iff it received

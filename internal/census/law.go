@@ -9,11 +9,12 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/dist"
 )
 
-// Stage1Law returns the exact phase-end law of one undecided node
-// under process P (Definition 4), given the phase's noisy message
-// multiset expressed as per-opinion Poisson rates lambda[j] = g_j/n:
-// adopt[j] is the probability of ending the phase with opinion j and
-// stay the probability of remaining undecided.
+// stage1Law writes the exact phase-end law of one undecided node under
+// process P (Definition 4) into adopt (len(lambda), overwritten) and
+// returns stay, given the phase's noisy message multiset expressed as
+// per-opinion Poisson rates lambda[j] = g_j/n: adopt[j] is the
+// probability of ending the phase with opinion j and stay the
+// probability of remaining undecided.
 //
 // The closed form is where the truncated-Poisson profile summation of
 // the census law collapses exactly: a node receives X_j ~
@@ -28,18 +29,11 @@ import (
 // received-count profiles (which the law tests perform literally)
 // converges to exactly this. Stage 1 therefore contributes zero to
 // the census engine's Lemma-3 truncation budget.
-func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
-	adopt = make([]float64, len(lambda))
-	return adopt, stage1Law(lambda, adopt)
-}
-
-// stage1Law is Stage1Law into a caller-owned adopt of len(lambda):
-// it overwrites adopt and returns stay.
 func stage1Law(lambda, adopt []float64) (stay float64) {
 	total := 0.0
 	for j, l := range lambda {
 		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
-			panic(fmt.Sprintf("census: Stage1Law with lambda[%d]=%v", j, l))
+			panic(fmt.Sprintf("census: stage1Law with lambda[%d]=%v", j, l))
 		}
 		total += l
 	}

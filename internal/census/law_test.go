@@ -412,14 +412,15 @@ func TestPoissonLawBeyondLnGammaTable(t *testing.T) {
 
 // TestStage1LawMatchesTruncatedProfileSum performs the literal
 // truncated-Poisson summation over received-count profiles that the
-// closed form of Stage1Law collapses: adopt[j] = Σ_profiles
+// closed form of stage1Law collapses: adopt[j] = Σ_profiles
 // ΠPoissonPMF(λ_i, x_i) · x_j/Σx, truncated at x_i ≤ M. The two must
 // agree within the profile tail mass — which the union bound
 // Σ_j Pr(Poisson(λ_j) > M) conservatively covers.
 func TestStage1LawMatchesTruncatedProfileSum(t *testing.T) {
 	lambda := []float64{0.8, 0.5, 0.3}
 	const M = 25
-	adopt, stay := Stage1Law(lambda)
+	adopt := make([]float64, len(lambda))
+	stay := stage1Law(lambda, adopt)
 
 	var sumAdopt [3]float64
 	sumStay := 0.0
@@ -468,17 +469,18 @@ func TestStage1LawMatchesTruncatedProfileSum(t *testing.T) {
 }
 
 func TestStage1LawEdgeCases(t *testing.T) {
-	adopt, stay := Stage1Law([]float64{0, 0})
-	if stay != 1 || adopt[0] != 0 || adopt[1] != 0 {
+	adopt := make([]float64, 2)
+	if stay := stage1Law([]float64{0, 0}, adopt); stay != 1 || adopt[0] != 0 || adopt[1] != 0 {
 		t.Fatalf("zero-rate law = (%v, %v), want all mass on stay", adopt, stay)
 	}
-	// The engine's in-place form overwrites a reused buffer, zeros too.
+	// The engine's buffer is reused: the law overwrites it, zeros too.
 	buf := []float64{0.5, 0.5}
 	if stay := stage1Law([]float64{0, 0}, buf); stay != 1 || buf[0] != 0 || buf[1] != 0 {
 		t.Fatalf("zero-rate law into a used buffer = (%v, %v), want all mass on stay", buf, stay)
 	}
 	// Probabilities must form a distribution for a busy channel.
-	adopt, stay = Stage1Law([]float64{3.5, 1.25, 0.25})
+	adopt = make([]float64, 3)
+	stay := stage1Law([]float64{3.5, 1.25, 0.25}, adopt)
 	total := stay
 	for _, v := range adopt {
 		total += v

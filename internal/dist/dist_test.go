@@ -223,23 +223,3 @@ func TestChiSquareTwoSampleErrors(t *testing.T) {
 		t.Error("negative count accepted")
 	}
 }
-
-func TestWilsonInterval(t *testing.T) {
-	// Classic worked example: 8/10 at 95%.
-	lo, hi := WilsonInterval(8, 10, 1.96)
-	if math.Abs(lo-0.490) > 0.005 || math.Abs(hi-0.943) > 0.005 {
-		t.Errorf("8/10: [%v, %v], want ≈ [0.490, 0.943]", lo, hi)
-	}
-	lo, hi = WilsonInterval(0, 20, 1.96)
-	if lo != 0 || hi < 0.05 || hi > 0.3 {
-		t.Errorf("0/20: [%v, %v]", lo, hi)
-	}
-	lo, hi = WilsonInterval(20, 20, 1.96)
-	if hi != 1 || lo > 0.95 || lo < 0.7 {
-		t.Errorf("20/20: [%v, %v]", lo, hi)
-	}
-	lo, hi = WilsonInterval(0, 0, 1.96)
-	if lo != 0 || hi != 1 {
-		t.Errorf("0 trials: [%v, %v]", lo, hi)
-	}
-}

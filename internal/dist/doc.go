@@ -11,8 +11,7 @@
 //     multinomial log-PMF, binomial coefficients, the regularized
 //     incomplete beta and gamma functions;
 //   - inference helpers: Pearson chi-square goodness-of-fit and
-//     two-sample tests (with small-expectation bin pooling) and the
-//     Wilson score interval.
+//     two-sample tests (with small-expectation bin pooling).
 //
 // Every sampler is exact (draws from the stated distribution, not an
 // approximation), which the engine's process-coupling guarantees and

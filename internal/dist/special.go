@@ -287,27 +287,3 @@ func ChiSquareSurvival(x float64, df int) float64 {
 	}
 	return regGammaQ(float64(df)/2, x/2)
 }
-
-// WilsonInterval returns the Wilson score interval for a binomial
-// proportion with `successes` out of `trials` at critical value z
-// (1.96 for 95%).
-func WilsonInterval(successes, trials int, z float64) (lo, hi float64) {
-	if trials <= 0 {
-		return 0, 1
-	}
-	n := float64(trials)
-	phat := float64(successes) / n
-	z2 := z * z
-	denom := 1 + z2/n
-	center := (phat + z2/(2*n)) / denom
-	half := z * math.Sqrt(phat*(1-phat)/n+z2/(4*n*n)) / denom
-	lo = center - half
-	hi = center + half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}

@@ -5,9 +5,9 @@ import (
 	"math"
 
 	"github.com/gossipkit/noisyrumor/internal/core"
-	"github.com/gossipkit/noisyrumor/internal/dist"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
+	"github.com/gossipkit/noisyrumor/internal/stats"
 	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
@@ -129,7 +129,10 @@ func RunE16(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			succ, _ := successStats(outs)
-			lo, hi := dist.WilsonInterval(succ, trials, 1.96)
+			lo, hi, err := stats.Wilson(succ, trials, 1.96)
+			if err != nil {
+				return nil, err
+			}
 			table.AddRow(fi(n), f2(g), fi(k), fmt.Sprintf("%d/%d", succ, trials),
 				fmt.Sprintf("[%.2f, %.2f]", lo, hi), fi(ell),
 				f2(float64(ell)/float64(k)))

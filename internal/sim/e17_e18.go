@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"github.com/gossipkit/noisyrumor/internal/core"
-	"github.com/gossipkit/noisyrumor/internal/dist"
 	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
+	"github.com/gossipkit/noisyrumor/internal/stats"
 	"github.com/gossipkit/noisyrumor/internal/sweep"
 )
 
@@ -68,7 +68,10 @@ func RunE17(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		succ, _ := successStats(outs)
-		lo, hi := dist.WilsonInterval(succ, trials, 1.96)
+		lo, hi, err := stats.Wilson(succ, trials, 1.96)
+		if err != nil {
+			return nil, err
+		}
 		table.AddRow(f2(scale), fi(sched.TotalRounds()),
 			fmt.Sprintf("%d/%d", succ, trials), fmt.Sprintf("[%.2f, %.2f]", lo, hi))
 		frac := float64(succ) / float64(trials)
@@ -157,7 +160,10 @@ func RunE18(cfg Config) (*Report, error) {
 				succ++
 			}
 		}
-		lo, hi := dist.WilsonInterval(succ, trials, 1.96)
+		lo, hi, err := stats.Wilson(succ, trials, 1.96)
+		if err != nil {
+			return nil, err
+		}
 		table.AddRow(fi(jitter), f2(frac), fmt.Sprintf("%d/%d", succ, trials),
 			fmt.Sprintf("[%.2f, %.2f]", lo, hi))
 	}

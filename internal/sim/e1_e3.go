@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/gossipkit/noisyrumor/internal/core"
-	"github.com/gossipkit/noisyrumor/internal/dist"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/stats"
@@ -60,7 +59,10 @@ func RunE1(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		succ, meanRounds := successStats(outs)
-		lo, hi := dist.WilsonInterval(succ, trials, 1.96)
+		lo, hi, err := stats.Wilson(succ, trials, 1.96)
+		if err != nil {
+			return nil, err
+		}
 		norm := meanRounds * eps * eps / math.Log(float64(n))
 		table.AddRow(fi(n),
 			fmt.Sprintf("%d/%d", succ, trials),
@@ -119,7 +121,10 @@ func RunE2(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		succ, meanRounds := successStats(outs)
-		lo, hi := dist.WilsonInterval(succ, trials, 1.96)
+		lo, hi, err := stats.Wilson(succ, trials, 1.96)
+		if err != nil {
+			return nil, err
+		}
 		table.AddRow(fi(k), fmt.Sprintf("%d/%d", succ, trials),
 			fmt.Sprintf("[%.2f, %.2f]", lo, hi), f2(meanRounds), fi(outs[0].scheduled))
 	}

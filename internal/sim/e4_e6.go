@@ -6,7 +6,6 @@ import (
 
 	"github.com/gossipkit/noisyrumor/internal/analytic"
 	"github.com/gossipkit/noisyrumor/internal/core"
-	"github.com/gossipkit/noisyrumor/internal/dist"
 	"github.com/gossipkit/noisyrumor/internal/noise"
 	"github.com/gossipkit/noisyrumor/internal/rng"
 	"github.com/gossipkit/noisyrumor/internal/stats"
@@ -257,7 +256,10 @@ func RunE6(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		succ, _ := successStats(outs)
-		lo, hi := dist.WilsonInterval(succ, trials, 1.96)
+		lo, hi, err := stats.Wilson(succ, trials, 1.96)
+		if err != nil {
+			return nil, err
+		}
 		table1.AddRow(f2(mult), fi(s), fmt.Sprintf("%d/%d", succ, trials),
 			fmt.Sprintf("[%.2f, %.2f]", lo, hi))
 	}
@@ -288,7 +290,10 @@ func RunE6(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		succ, _ := successStats(outs)
-		lo, hi := dist.WilsonInterval(succ, trials, 1.96)
+		lo, hi, err := stats.Wilson(succ, trials, 1.96)
+		if err != nil {
+			return nil, err
+		}
 		table2.AddRow(f2(bm), f4(b), fmt.Sprintf("%d/%d", succ, trials),
 			fmt.Sprintf("[%.2f, %.2f]", lo, hi))
 	}

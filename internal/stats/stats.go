@@ -1,46 +1,30 @@
-// Package stats provides the descriptive-statistics substrate for the
-// experiment harness: streaming summaries (Welford), retained samples
-// with quantiles, ordinary least squares (used to fit the scaling
-// exponents of experiments E1–E3), and fixed-bin histograms.
+// Package stats provides the statistics the experiment harness and
+// the sweep report: a streaming mean and minimum (Welford's update),
+// the Wilson score interval for success rates, and ordinary least
+// squares (used to fit the Θ(log n/ε²) round complexity of experiments
+// E1–E3 and the T(n) scaling sweeps).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
-// Summary accumulates count, mean, variance (Welford's algorithm),
-// minimum and maximum of a stream of observations without retaining
-// them. The zero value is an empty summary ready for use.
+// Summary accumulates the mean (Welford's update) and the minimum of a
+// stream of observations without retaining them. The zero value is an
+// empty summary ready for use.
 type Summary struct {
 	n    int
 	mean float64
-	m2   float64
 	min  float64
-	max  float64
 }
 
 // Add folds one observation into the summary.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 1 || x < s.min {
+		s.min = x
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
 }
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean, or NaN when empty.
 func (s *Summary) Mean() float64 {
@@ -50,26 +34,6 @@ func (s *Summary) Mean() float64 {
 	return s.mean
 }
 
-// Variance returns the unbiased sample variance, or NaN for fewer than
-// two observations.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (s *Summary) StdErr() float64 {
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
-}
-
 // Min returns the smallest observation, or NaN when empty.
 func (s *Summary) Min() float64 {
 	if s.n == 0 {
@@ -77,71 +41,3 @@ func (s *Summary) Min() float64 {
 	}
 	return s.min
 }
-
-// Max returns the largest observation, or NaN when empty.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
-
-// CI95 returns the mean and its normal-approximation 95% half-width.
-func (s *Summary) CI95() (mean, halfWidth float64) {
-	return s.Mean(), 1.96 * s.StdErr()
-}
-
-// String renders "mean ± stderr (n=…)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean(), s.StdErr(), s.n)
-}
-
-// Sample retains observations for quantile queries while keeping a
-// running Summary. The zero value is ready for use.
-type Sample struct {
-	Summary
-	xs     []float64
-	sorted bool
-}
-
-// Add appends one observation.
-func (s *Sample) Add(x float64) {
-	s.Summary.Add(x)
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// Values returns the retained observations in insertion order. The
-// returned slice is a copy.
-func (s *Sample) Values() []float64 {
-	return append([]float64(nil), s.xs...)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// between order statistics, or NaN when empty.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if q <= 0 {
-		return s.xs[0]
-	}
-	if q >= 1 {
-		return s.xs[len(s.xs)-1]
-	}
-	pos := q * float64(len(s.xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Median returns the 0.5-quantile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }

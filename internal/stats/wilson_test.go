@@ -20,14 +20,14 @@ func TestWilson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo != 0 || hi <= 0 || hi >= 0.5 {
-		t.Fatalf("Wilson(0,20) = [%v, %v], want (0, ~0.16]", lo, hi)
+	if lo != 0 || hi < 0.05 || hi > 0.3 {
+		t.Fatalf("Wilson(0,20) = [%v, %v], want [0, ~0.16]", lo, hi)
 	}
 	lo, hi, err = Wilson(20, 20, 1.96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hi != 1 || lo >= 1 || lo <= 0.5 {
+	if hi != 1 || lo < 0.7 || lo > 0.95 {
 		t.Fatalf("Wilson(20,20) = [%v, %v], want [~0.84, 1]", lo, hi)
 	}
 	// Interval shrinks with n at fixed rate.

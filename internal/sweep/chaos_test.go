@@ -186,9 +186,9 @@ type sleeperFunc func(time.Duration)
 func (f sleeperFunc) Sleep(d time.Duration) { f(d) }
 
 // TestChaosBackoffJitter: the waits before the retries of a torn
-// append lie in [retryBase, retryCap], repeat exactly for the same seed
-// and differ for another, since the jitter is drawn from a stream
-// salted off the run seed.
+// append lie in [retryBase, retryBase·3^(retryAttempts−1)], repeat
+// exactly for the same seed and differ for another, since the jitter
+// is drawn from a stream salted off the run seed.
 func TestChaosBackoffJitter(t *testing.T) {
 	dir := t.TempDir()
 	waits := func(name string, seed uint64) []time.Duration {
@@ -206,9 +206,13 @@ func TestChaosBackoffJitter(t *testing.T) {
 	if len(a) != retryAttempts-1 {
 		t.Fatalf("%d torn appends slept %d times: %v", retryAttempts-1, len(a), a)
 	}
+	maxWait := retryBase
+	for range retryAttempts - 1 {
+		maxWait *= 3
+	}
 	for _, d := range slices.Concat(a, c) {
-		if d < retryBase || d > retryCap {
-			t.Fatalf("wait %v outside [%v, %v]", d, retryBase, retryCap)
+		if d < retryBase || d > maxWait {
+			t.Fatalf("wait %v outside [%v, %v]", d, retryBase, maxWait)
 		}
 	}
 	if !slices.Equal(a, b) {

@@ -277,12 +277,11 @@ const (
 
 // A checkpoint operation runs at most retryAttempts times, the first
 // included. The wait before each retry is drawn uniformly from
-// [retryBase, 3·the previous wait) and capped at retryCap
-// (decorrelated jitter).
+// [retryBase, 3·the previous wait) (decorrelated jitter), so the waits
+// stay below retryBase·3^(retryAttempts−1) = 135 ms.
 const (
 	retryAttempts = 4
 	retryBase     = 5 * time.Millisecond
-	retryCap      = 250 * time.Millisecond
 )
 
 // retry runs op until it succeeds, fails with an error not marked
@@ -303,10 +302,10 @@ func (r Runner) retry(salt uint64, op func() error) error {
 		if attempt == retryAttempts {
 			return fmt.Errorf("%d attempts exhausted: %w", retryAttempts, err)
 		}
-		//nrlint:allow overflow -- wait ≤ retryCap, so 3·wait ≪ 2⁶³ ns ≈ 292 years
+		//nrlint:allow overflow -- wait < retryBase·3^(retryAttempts−1) = 135 ms, so 3·wait ≪ 2⁶³ ns ≈ 292 years
 		hi := 3 * wait
-		//nrlint:allow overflow -- Float64 < 1 keeps the sum below hi ≤ 3·retryCap
-		wait = min(retryBase+time.Duration(jitter.Float64()*float64(hi-retryBase)), retryCap)
+		//nrlint:allow overflow -- Float64 < 1 keeps the sum below hi ≤ retryBase·3^(retryAttempts−1) = 135 ms
+		wait = retryBase + time.Duration(jitter.Float64()*float64(hi-retryBase))
 		if m := r.Obs.Metrics; m != nil {
 			m.retries.Inc()
 			m.backoff.Observe(wait.Seconds())
