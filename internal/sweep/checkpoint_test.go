@@ -2,10 +2,13 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/gossipkit/noisyrumor/internal/core"
 )
 
 // ckTestSpec is an arbitrary identity payload for direct journal tests.
@@ -370,6 +373,78 @@ func TestCheckpointTornAtEveryOffset(t *testing.T) {
 		}
 		if got, want := mustRead(t, path), bytes.Join(lines[:kept+1], nil); !bytes.Equal(got, want) {
 			t.Fatalf("cut %d: resumed journal is not the canonical kept prefix:\n%q\nwant\n%q", cut, got, want)
+		}
+	}
+}
+
+// TestEntryLineIsMarshaledEntry pins the entry line's frame: for
+// generated results, writeEntryLine writes json.Marshal(checkpointEntry)
+// and a newline, byte for byte, and reading the line back yields the
+// key, CRC and result bytes json.Unmarshal finds in it. The keys span
+// one to four digits, and quarantine messages carry what JSON escapes:
+// HTML's <, > and &, quotes, backslashes, control bytes, U+2028 and
+// invalid UTF-8.
+func TestEntryLineIsMarshaledEntry(t *testing.T) {
+	dir := t.TempDir()
+	ck := openTestCheckpoint(t, filepath.Join(dir, "header.json"))
+	if err := ck.close(); err != nil {
+		t.Fatal(err)
+	}
+	header := mustRead(t, filepath.Join(dir, "header.json"))
+	msgs := []string{
+		"point 3 trial 1 panicked: <nil> && a > b",
+		`quote " and backslash \ and \"both\"`,
+		"control \x00\x01\x07\b\f\t\n\r\x1b\x1f\x7f bytes",
+		"separators \u2028 and \u2029",
+		"invalid UTF-8 \xff\xfe \xc3\x28 \xed\xa0\x80 end \xe2\x82",
+	}
+	path := filepath.Join(dir, "line.json")
+	for _, key := range []int{0, 9, 10, 1343} {
+		clean := testPointResult(key)
+		clean.Point.Params = core.DefaultParams(0.3)
+		clean.WilsonLo, clean.WilsonHi = 0.1+float64(key)/7, 0.9-1e-17*float64(key)
+		clean.MeanRounds = 1 / 3.0 * float64(key+1)
+		clean.ErrorBudget = 6.5e-300 * float64(key+1)
+		results := []PointResult{clean}
+		for i, msg := range msgs {
+			results = append(results, PointResult{Point: clean.Point,
+				Error: &PointError{Trial: i, Permanent: i%2 == 0, Msg: msg}})
+		}
+		for i, pr := range results {
+			data, err := json.Marshal(pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ent := checkpointEntry{Key: key, CRC: entryCRC(data), Result: data}
+			var line bytes.Buffer
+			writeEntryLine(&line, ent)
+			want, err := json.Marshal(ent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			if !bytes.Equal(line.Bytes(), want) {
+				t.Fatalf("key %d result %d: writeEntryLine wrote\n%q\njson.Marshal writes\n%q", key, i, line.Bytes(), want)
+			}
+			var dec checkpointEntry
+			if err := json.Unmarshal(line.Bytes(), &dec); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(append([]byte{}, header...), line.Bytes()...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cf, err := readCheckpointFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := cf.entries[key]
+			if len(cf.entries) != 1 || !ok || cf.salvaged != 0 {
+				t.Fatalf("key %d result %d: read %d entries (salvaged %d), want the one line", key, i, len(cf.entries), cf.salvaged)
+			}
+			if got.Key != dec.Key || got.CRC != dec.CRC || !bytes.Equal(got.Result, dec.Result) {
+				t.Fatalf("key %d result %d: read {%d %s %q}, json.Unmarshal reads {%d %s %q}",
+					key, i, got.Key, got.CRC, got.Result, dec.Key, dec.CRC, dec.Result)
+			}
 		}
 	}
 }
