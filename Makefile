@@ -66,15 +66,20 @@ race:
 # that relabelling opinions relabels the law, and checks it against
 # exhaustive enumeration at small ℓ. FuzzCheckpointJournal feeds the
 # sweep's journal reader arbitrary bytes: it must never panic, and
-# every entry it keeps must carry a CRC that verifies. Go's native
-# fuzzer needs no download. A failing input is written under the
+# every entry it keeps must re-frame to exactly a line of the journal,
+# carry a CRC that verifies and hold the result of the point its key
+# names. FuzzResumeDamagedJournal damages a complete 6-point grid
+# journal (flipped bytes, cut, duplicated or swapped lines) and resumes
+# it through cmd/sweep: stdout, apart from "salvaged", and the finished
+# journal must equal a fresh run's. Go's native fuzzer needs no
+# download. A failing input is written under the
 # package's testdata/fuzz/<target>/; rename it to say what it covers
 # and commit it, so plain `go test` replays it. -fuzzminimizetime
 # bounds the minimizing of each new input to 100 executions: under
 # Go's default of 60 s a worker stops fuzzing while it minimizes, and
 # FuzzCheckpointJournal spent most of a 20-s run that way.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := internal/census:FuzzMajorityLaw internal/sweep:FuzzCheckpointJournal
+FUZZ_TARGETS := internal/census:FuzzMajorityLaw internal/sweep:FuzzCheckpointJournal cmd/sweep:FuzzResumeDamagedJournal
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 	    echo "fuzz $${t#*:} ($(FUZZTIME))"; \
@@ -146,9 +151,11 @@ bench-json: lint
 
 # profile records CPU and allocation pprof profiles of the two Stage-2
 # hot paths — the n = 10⁹ census Stage-2 phase (exact + quantized) and
-# the threshold-straddling sweep grid — plus a CPU profile of the k = 3
-# and k = 5 majority law alone, so hot-path PRs start from a measured
-# profile instead of a guess (see DESIGN.md §4). Inspect with
+# the threshold-straddling sweep grid — plus CPU profiles of the k = 3
+# and k = 5 majority law alone and of a resume from a complete
+# grid-k2-sized checkpoint journal, so hot-path and journal PRs start
+# from a measured profile instead of a guess (see DESIGN.md §4).
+# Inspect with
 #   go tool pprof -top profiles/census_cpu.prof
 profile:
 	mkdir -p profiles
@@ -160,6 +167,8 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepGridPoints' -benchtime 5x -timeout 30m \
 	    -cpuprofile profiles/sweep_cpu.prof -memprofile profiles/sweep_mem.prof \
 	    -o profiles/sweep.test ./internal/sweep
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepResume' -benchtime 50x -timeout 30m \
+	    -cpuprofile profiles/resume_cpu.prof -o profiles/sweep.test ./internal/sweep
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
 
 # layout prints where the trial's hot functions land in a fresh

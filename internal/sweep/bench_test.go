@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/gossipkit/noisyrumor/internal/census"
@@ -153,6 +155,66 @@ func BenchmarkShardMerge(b *testing.B) {
 		}
 		if rep.Points != points {
 			b.Fatalf("merged %d points, want %d", rep.Points, points)
+		}
+	}
+}
+
+// resumeGrid has grid-k2's axes (the repository benchmark's workload
+// of that name): 1,344 points, 16 trials each.
+func resumeGrid() Grid {
+	return Grid{
+		Matrices:   []string{"binary", "uniform"},
+		Ks:         []int{2},
+		ChannelEps: []float64{0.10, 0.12, 0.14, 0.16, 0.18, 0.20, 0.22, 0.24, 0.26, 0.28, 0.30, 0.35},
+		Deltas:     []float64{0.01, 0.02, 0.05, 0.08, 0.10, 0.15, 0.20, 0.30},
+		Ns:         []int64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9},
+		ProtoEps:   0.4,
+		Trials:     16,
+	}
+}
+
+// resumeJournal is resumeGrid's complete journal at seed 1, computed
+// once per test binary (about 2 s of trials on two workers).
+var resumeJournal = sync.OnceValues(func() ([]byte, error) {
+	dir, err := os.MkdirTemp("", "sweep-resume-bench")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "ck.json")
+	if _, err := (Runner{Seed: 1, Workers: 2, Checkpoint: path}).RunGrid(resumeGrid()); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(path)
+})
+
+// BenchmarkSweepResume is the resume path on its own: RunGrid over a
+// complete grid-k2-sized journal, which resolves the spec, opens and
+// checks the journal, decodes every point's result and runs no trial.
+// The journal is written once, outside the timer; a resume of a
+// complete, canonical journal leaves it byte for byte, so every
+// iteration reads the same file. `make profile` records its CPU
+// profile.
+func BenchmarkSweepResume(b *testing.B) {
+	data, err := resumeJournal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "ck.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	g := resumeGrid()
+	r := Runner{Seed: 1, Workers: 2, Checkpoint: path}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.RunGrid(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Points) != 1344 || res.Salvaged != 0 {
+			b.Fatalf("resumed %d points (%d salvaged), want all 1344", len(res.Points), res.Salvaged)
 		}
 	}
 }

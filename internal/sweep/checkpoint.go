@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"sort"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -47,17 +48,87 @@ type checkpointHeader struct {
 }
 
 // checkpointEntry is one journal line: a point result with its key
-// and the CRC32 (IEEE) of the result bytes. A line whose CRC does not
-// match — or that does not parse at all — is a salvage drop, not a
-// fatal error.
+// and the CRC32 (IEEE) of the result bytes, framed as
+//
+//	{"key":K,"crc":"H","result":R}
+//
+// which is byte for byte what json.Marshal(checkpointEntry) writes: K
+// in decimal, H in eight lower-case hex digits, R the result as
+// json.Marshal wrote it. The reader keeps only lines of that frame
+// whose H is R's CRC and whose R is the result of point K (see
+// splitEntryLine); any other line is a salvage drop, not a fatal error.
 type checkpointEntry struct {
 	Key    int             `json:"key"`
 	CRC    string          `json:"crc"`
 	Result json.RawMessage `json:"result"`
 }
 
+// The literal parts of an entry line's frame, and the start of every
+// result: Point and its Index are the first fields json.Marshal writes
+// for a PointResult.
+const (
+	framePrefix = `{"key":`
+	frameCRC    = `,"crc":"`
+	frameResult = `","result":`
+	frameSuffix = `}`
+	resultStart = `{"point":{"index":`
+)
+
 func entryCRC(result []byte) string {
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(result))
+	const hexDigits = "0123456789abcdef"
+	var h [8]byte
+	crc := crc32.ChecksumIEEE(result)
+	for i := len(h) - 1; i >= 0; i-- {
+		h[i] = hexDigits[crc&0xf]
+		crc >>= 4
+	}
+	return string(h[:])
+}
+
+// splitEntryLine reads one entry line by its frame, without decoding
+// the result; Result aliases line. It reports false for a line the
+// writer cannot have written whole: another shape (reordered fields,
+// added whitespace, a CRLF ending), a key that is not canonical
+// decimal, a CRC that is not the result's, or a result whose point
+// index is not the key. The CRC covers only the result, so the index
+// check is what catches a damaged key.
+func splitEntryLine(line []byte) (checkpointEntry, bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(framePrefix))
+	if !ok {
+		return checkpointEntry{}, false
+	}
+	n := 0
+	for n < len(rest) && '0' <= rest[n] && rest[n] <= '9' {
+		n++
+	}
+	digits := rest[:n]
+	if n == 0 || (n > 1 && digits[0] == '0') {
+		return checkpointEntry{}, false
+	}
+	key, err := strconv.Atoi(string(digits))
+	if err != nil {
+		return checkpointEntry{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest[n:], []byte(frameCRC)); !ok || len(rest) < 8 {
+		return checkpointEntry{}, false
+	}
+	crc := rest[:8]
+	if rest, ok = bytes.CutPrefix(rest[8:], []byte(frameResult)); !ok {
+		return checkpointEntry{}, false
+	}
+	result, ok := bytes.CutSuffix(rest, []byte(frameSuffix))
+	if !ok {
+		return checkpointEntry{}, false
+	}
+	if idx, ok := bytes.CutPrefix(result, []byte(resultStart)); !ok || len(idx) <= n ||
+		!bytes.Equal(idx[:n], digits) || idx[n] != ',' {
+		return checkpointEntry{}, false
+	}
+	h := entryCRC(result)
+	if string(crc) != h {
+		return checkpointEntry{}, false
+	}
+	return checkpointEntry{Key: key, CRC: h, Result: result}, true
 }
 
 // checkpoint persists sweep progress. A nil checkpoint (no path
@@ -135,22 +206,23 @@ func readCheckpointFile(path string) (*checkpointFile, error) {
 			line = data[off : off+end]
 			next = off + end + 1
 		}
-		if len(bytes.TrimSpace(line)) > 0 {
-			var ent checkpointEntry
-			if err := json.Unmarshal(line, &ent); err != nil || ent.CRC != entryCRC(ent.Result) {
-				// Torn or corrupt entry at byte offset `off`: drop and
-				// recompute. Damage is recoverable here, unlike the header.
-				cf.salvaged++
-				cf.canonical = false
-			} else {
-				if _, dup := cf.entries[ent.Key]; dup || ent.Key <= lastKey {
-					cf.canonical = false // journal semantics: the later write wins
-				}
-				cf.entries[ent.Key] = ent
-				if ent.Key > lastKey {
-					lastKey = ent.Key
-				}
+		if ent, ok := splitEntryLine(line); ok {
+			if _, dup := cf.entries[ent.Key]; dup || ent.Key <= lastKey {
+				cf.canonical = false // journal semantics: the later write wins
 			}
+			cf.entries[ent.Key] = ent
+			if ent.Key > lastKey {
+				lastKey = ent.Key
+			}
+		} else {
+			// A blank line holds no point, but the writer writes none, so
+			// the resume rewrites it away. Any other line is a torn or
+			// corrupt entry at byte offset `off`: drop and recompute.
+			// Damage is recoverable here, unlike the header.
+			if len(bytes.TrimSpace(line)) > 0 {
+				cf.salvaged++
+			}
+			cf.canonical = false
 		}
 		off = next
 	}
@@ -380,13 +452,17 @@ func (c *checkpoint) canonicalBytes() []byte {
 	return buf.Bytes()
 }
 
+// writeEntryLine writes ent's frame and a newline. ent.Result is
+// json.Marshal output, compact and HTML-escaped already, so the line is
+// what json.Marshal(ent) would write, without marshaling it again.
 func writeEntryLine(buf *bytes.Buffer, ent checkpointEntry) {
-	line, err := json.Marshal(ent)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: marshal checkpoint entry: %v", err))
-	}
-	buf.Write(line)
-	buf.WriteByte('\n')
+	buf.WriteString(framePrefix)
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(ent.Key), 10))
+	buf.WriteString(frameCRC)
+	buf.WriteString(ent.CRC)
+	buf.WriteString(frameResult)
+	buf.Write(ent.Result)
+	buf.WriteString(frameSuffix + "\n")
 }
 
 // writeFileAtomic replaces path with data through path.tmp and a
@@ -441,6 +517,7 @@ func (c *checkpoint) put(key int, res PointResult) error {
 	}
 	ent := checkpointEntry{Key: key, CRC: entryCRC(data), Result: data}
 	var buf bytes.Buffer
+	buf.Grow(len(data) + 64) // the frame, the key and the newline take at most 56 bytes
 	writeEntryLine(&buf, ent)
 	if _, dup := c.entries[key]; dup || key <= c.lastKey {
 		c.ordered = false

@@ -450,9 +450,13 @@ func TestEntryLineIsMarshaledEntry(t *testing.T) {
 }
 
 // FuzzCheckpointJournal: on arbitrary bytes, reading a journal never
-// panics, and every entry it keeps carries a CRC that verifies. The
-// seeds are a complete journal, the same journal torn mid-entry and
-// with a flipped payload byte, and a header alone.
+// panics, and every entry it keeps re-frames to exactly a whole line of
+// the journal, carries a CRC that verifies and holds the result of the
+// point its key names. The seeds are a complete journal, the same
+// journal torn mid-entry and with a flipped payload byte, and a header
+// alone; the committed corpus adds the frame's edges (a leading-zero or
+// signed key, an upper-case CRC, a space after a colon, a CRLF ending,
+// a result holding the text `","result":`, a missing closing brace).
 func FuzzCheckpointJournal(f *testing.F) {
 	data := writeTestJournal(f, filepath.Join(f.TempDir(), "seed.json"), 3)
 	f.Add(data)
@@ -471,6 +475,16 @@ func FuzzCheckpointJournal(f *testing.F) {
 		for key, ent := range cf.entries {
 			if ent.Key != key || ent.CRC != entryCRC(ent.Result) {
 				t.Fatalf("kept entry %d (key %d) fails its CRC %s", key, ent.Key, ent.CRC)
+			}
+			var line bytes.Buffer
+			writeEntryLine(&line, ent)
+			framed := append([]byte{'\n'}, line.Bytes()...)
+			if !bytes.Contains(journal, framed) && !bytes.HasSuffix(journal, framed[:len(framed)-1]) {
+				t.Fatalf("kept entry %d re-frames to %q, which is no line of the journal", key, line.Bytes())
+			}
+			var pr PointResult
+			if err := json.Unmarshal(ent.Result, &pr); err != nil || pr.Point.Index != key {
+				t.Fatalf("kept entry %d holds the result of point %d (decode error %v)", key, pr.Point.Index, err)
 			}
 		}
 		if cf.salvaged < 0 || cf.salvaged > bytes.Count(journal, []byte("\n")) {

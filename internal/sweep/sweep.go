@@ -443,26 +443,22 @@ func checkPoints(pts []Point) error {
 		n      int64
 		params core.Params
 	}
-	seen := map[any]bool{}
-	first := func(key any) bool {
-		if seen[key] {
-			return false
-		}
-		seen[key] = true
-		return true
-	}
+	matrices := map[matrixKey]bool{}
+	counts := map[countsKey]bool{}
+	schedules := map[scheduleKey]bool{}
+	engines := map[string]bool{}
 	for _, p := range pts {
 		var err error
-		if first(matrixKey{p.Matrix, p.K, p.ChannelEps}) {
+		if firstSeen(matrices, matrixKey{p.Matrix, p.K, p.ChannelEps}) {
 			_, err = BuildMatrix(p.Matrix, p.K, p.ChannelEps)
 		}
-		if err == nil && first(countsKey{p.N, p.K, p.Delta}) {
+		if err == nil && firstSeen(counts, countsKey{p.N, p.K, p.Delta}) {
 			_, err = InitialCounts(p.N, p.K, p.Delta)
 		}
-		if err == nil && first(scheduleKey{p.N, p.Params}) {
+		if err == nil && firstSeen(schedules, scheduleKey{p.N, p.Params}) {
 			_, err = core.NewSchedule(p.N, p.Params)
 		}
-		if err == nil && first(p.Engine) {
+		if err == nil && firstSeen(engines, p.Engine) {
 			_, err = pointEngine(p.Engine)
 		}
 		if err != nil {
@@ -470,6 +466,15 @@ func checkPoints(pts []Point) error {
 		}
 	}
 	return nil
+}
+
+// firstSeen adds key to seen and reports whether it was not there yet.
+func firstSeen[K comparable](seen map[K]bool, key K) bool {
+	if seen[key] {
+		return false
+	}
+	seen[key] = true
+	return true
 }
 
 // pointEngine resolves a point's engine name: the census engine ("" or
