@@ -99,11 +99,11 @@ func damage(body, ops []byte) []byte {
 	limit := 4 * len(body)
 	body = append([]byte{}, body...)
 	for i := 0; i < maxDamageOps && len(ops) >= 4 && len(body) <= limit; i, ops = i+1, ops[4:] {
+		if len(body) == 0 {
+			break
+		}
 		at := int(binary.BigEndian.Uint16(ops[1:3]))
 		lines := bytes.SplitAfter(body, []byte("\n"))
-		if len(body) == 0 {
-			continue
-		}
 		a, b := int(ops[1])%len(lines), int(ops[2])%len(lines)
 		switch ops[0] % 4 {
 		case 0:

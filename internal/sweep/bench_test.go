@@ -2,9 +2,7 @@ package sweep
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"github.com/gossipkit/noisyrumor/internal/census"
@@ -159,10 +157,16 @@ func BenchmarkShardMerge(b *testing.B) {
 	}
 }
 
-// resumeGrid has grid-k2's axes (the repository benchmark's workload
-// of that name): 1,344 points, 16 trials each.
-func resumeGrid() Grid {
-	return Grid{
+// BenchmarkSweepResume is the resume path on its own: RunGrid over a
+// complete journal of grid-k2's spec (the repository benchmark's
+// workload of that name: 1,344 points of 16 trials), which resolves the
+// spec, opens and checks the journal, decodes every point's result and
+// runs no trial. The journal is written outside the timer; a resume of
+// a complete, canonical journal leaves it byte for byte, so every
+// iteration reads the same file. `make profile` records its CPU
+// profile.
+func BenchmarkSweepResume(b *testing.B) {
+	g := Grid{
 		Matrices:   []string{"binary", "uniform"},
 		Ks:         []int{2},
 		ChannelEps: []float64{0.10, 0.12, 0.14, 0.16, 0.18, 0.20, 0.22, 0.24, 0.26, 0.28, 0.30, 0.35},
@@ -171,41 +175,10 @@ func resumeGrid() Grid {
 		ProtoEps:   0.4,
 		Trials:     16,
 	}
-}
-
-// resumeJournal is resumeGrid's complete journal at seed 1, computed
-// once per test binary (about 2 s of trials on two workers).
-var resumeJournal = sync.OnceValues(func() ([]byte, error) {
-	dir, err := os.MkdirTemp("", "sweep-resume-bench")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "ck.json")
-	if _, err := (Runner{Seed: 1, Workers: 2, Checkpoint: path}).RunGrid(resumeGrid()); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(path)
-})
-
-// BenchmarkSweepResume is the resume path on its own: RunGrid over a
-// complete grid-k2-sized journal, which resolves the spec, opens and
-// checks the journal, decodes every point's result and runs no trial.
-// The journal is written once, outside the timer; a resume of a
-// complete, canonical journal leaves it byte for byte, so every
-// iteration reads the same file. `make profile` records its CPU
-// profile.
-func BenchmarkSweepResume(b *testing.B) {
-	data, err := resumeJournal()
-	if err != nil {
+	r := Runner{Seed: 1, Workers: 2, Checkpoint: filepath.Join(b.TempDir(), "ck.json")}
+	if _, err := r.RunGrid(g); err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "ck.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		b.Fatal(err)
-	}
-	g := resumeGrid()
-	r := Runner{Seed: 1, Workers: 2, Checkpoint: path}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
